@@ -82,10 +82,10 @@ classifyHv(HvError error)
       case HvError::SealRollback:
       case HvError::ImageRollback: return Rc::SealRollback;
       case HvError::ImageTruncated: return Rc::Invalid;
-      // Exhaustive on purpose: tools/hev_lint.py rejects any HvError
-      // variant without an explicit class, so a new error cannot
-      // silently fall into a catch-all and dodge the differential
-      // comparison against the spec's coarse codes.
+      // Exhaustive on purpose: no default, and hev_fuzz builds with
+      // -Werror=switch, so a new HvError cannot silently fall into a
+      // catch-all and dodge the differential comparison against the
+      // spec's coarse codes.
       case HvError::Unsupported: return Rc::Invalid;
       // Invalid (not Conflict): the flat spec has no shootdown window,
       // so its reload-during-batch verdict lands in the same coarse
@@ -322,23 +322,9 @@ class Executor
         const IntResult spec_id = specHcInit(
             specState, el_start, el_end, mbuf_gva, mbuf_pages, backing);
 
-        if (hv_id.ok() != spec_id.isOk) {
-            std::ostringstream msg;
-            msg << "init verdicts differ: hv="
-                << (hv_id.ok() ? "ok" : hvErrorName(hv_id.error()))
-                << " spec="
-                << (spec_id.isOk ? i64(0) : spec_id.errCode);
-            return msg.str();
-        }
-        if (!hv_id.ok() &&
-            classifyHv(hv_id.error()) != classifySpec(spec_id.errCode)) {
-            std::ostringstream msg;
-            msg << "init error classes differ: hv="
-                << hvErrorName(hv_id.error())
-                << " spec=" << spec_id.errCode;
-            return msg.str();
-        }
-        lastRc = hv_id.ok() ? Rc::Ok : classifyHv(hv_id.error());
+        if (auto f = verdictsAgree("init", hv_id.error(),
+                                   spec_id.isOk ? 0 : spec_id.errCode))
+            return f;
 
         if (auto f = mirAgree("hc_init", harness14(), "hc_init",
                               {uv(el_start), uv(el_end), uv(mbuf_gva),
@@ -373,18 +359,7 @@ class Executor
         pickEnclave(op.a, hv_id, spec_id);
         const u64 twist = op.c % 8;
 
-        u64 gva;
-        const auto abs_it = specState.enclaves.find(spec_id);
-        if (abs_it != specState.enclaves.end() &&
-            abs_it->second.state != enclStateDead) {
-            const AbsEnclave &abs = abs_it->second;
-            const u64 el_pages = (abs.elEnd - abs.elStart) / pageSize;
-            // +2 slots reach exactly elEnd (the off-by-one boundary)
-            // and one page beyond.
-            gva = abs.elStart + (op.b % (el_pages + 2)) * pageSize;
-        } else {
-            gva = 0x10'0000 + (op.b % 8) * pageSize;
-        }
+        u64 gva = batchGva(spec_id, op.b, 0);
         if (twist == 6)
             gva += 0x100; // misaligned
         const u64 src = twist == 7 ? opts.monitor.layout.secureBase()
@@ -398,7 +373,7 @@ class Executor
         const i64 rc =
             specHcAddPage(specState, spec_id, gva, src, kind_code);
 
-        if (auto f = verdictsAgree("add_page", st, rc))
+        if (auto f = verdictsAgree("add_page", st.error(), rc))
             return f;
         if (auto f = mirAgree("hc_add_page", harness14(), "hc_add_page",
                               {iv(spec_id), uv(gva), uv(src),
@@ -410,17 +385,11 @@ class Executor
             const AbsEnclave &abs = specState.enclaves.at(spec_id);
             const u64 gpa = specState.geo.epcGpaBase +
                             (abs.addedPages - 1) * pageSize;
-            u64 flags = pteRwFlags;
-            if (opts.treeSkewBug)
-                flags &= ~pteFlagW;
             TreeState &tree = gptTrees.at(hv_id);
-            const i64 tree_rc = treeMap(tree, gva, gpa, flags);
-            if (tree_rc != 0) {
-                std::ostringstream msg;
-                msg << "tree map failed (rc " << tree_rc
-                    << ") where the flat spec succeeded";
-                return msg.str();
-            }
+            if (auto f = treeStepOk("tree map",
+                                    treeMap(tree, gva, gpa, treeFlags()),
+                                    "succeeded"))
+                return f;
             if (auto f = treeAgree("add_page gpt", tree, abs.gptHandle))
                 return f;
         }
@@ -437,7 +406,7 @@ class Executor
         pickEnclave(op.a, hv_id, spec_id);
         auto st = machine.monitor().hcEnclaveInitFinish(hv_id);
         const i64 rc = specHcInitFinish(specState, spec_id);
-        if (auto f = verdictsAgree("init_finish", st, rc))
+        if (auto f = verdictsAgree("init_finish", st.error(), rc))
             return f;
         if (auto f = mirAgree("hc_init_finish", harness14(),
                               "hc_init_finish", {iv(spec_id)}, iv(rc)))
@@ -464,7 +433,7 @@ class Executor
 
         auto st = machine.monitor().hcEnclaveRemove(hv_id);
         const i64 rc = specHcRemove(specState, spec_id);
-        if (auto f = verdictsAgree("remove", st, rc))
+        if (auto f = verdictsAgree("remove", st.error(), rc))
             return f;
         if (auto f = mirAgree("hc_remove", harness14(), "hc_remove",
                               {iv(spec_id)}, iv(rc)))
@@ -485,17 +454,7 @@ class Executor
         i64 spec_id;
         pickEnclave(op.a, hv_id, spec_id);
 
-        u64 gva;
-        const auto abs_it = specState.enclaves.find(spec_id);
-        if (abs_it != specState.enclaves.end() &&
-            abs_it->second.state != enclStateDead) {
-            const AbsEnclave &abs = abs_it->second;
-            const u64 el_pages = (abs.elEnd - abs.elStart) / pageSize;
-            gva = abs.elStart + (op.b % (el_pages + 2)) * pageSize;
-        } else {
-            gva = 0x10'0000 + (op.b % 8) * pageSize;
-        }
-
+        const u64 gva = batchGva(spec_id, op.b, 0);
         auto blob = machine.monitor().hcEnclaveEvictPage(hv_id, Gva(gva));
         const IntResult r = specHcEvictPage(specState, spec_id, gva);
         if (opts.mirLockstep) {
@@ -505,24 +464,9 @@ class Executor
             (void)specHcEvictPage(mirFlat, spec_id, gva);
         }
 
-        if (blob.ok() != r.isOk) {
-            std::ostringstream msg;
-            msg << "evict verdicts differ: hv="
-                << (blob.ok() ? "ok" : hvErrorName(blob.error()))
-                << " spec=" << (r.isOk ? i64(0) : r.errCode);
-            return msg.str();
-        }
-        if (!blob.ok() &&
-            classifyHv(blob.error()) != classifySpec(r.errCode)) {
-            std::ostringstream msg;
-            msg << "evict error classes differ: hv="
-                << hvErrorName(blob.error()) << " ("
-                << rcName(classifyHv(blob.error())) << ") vs spec "
-                << r.errCode << " (" << rcName(classifySpec(r.errCode))
-                << ")";
-            return msg.str();
-        }
-        lastRc = blob.ok() ? Rc::Ok : classifyHv(blob.error());
+        if (auto f = verdictsAgree("evict", blob.error(),
+                                   r.isOk ? 0 : r.errCode))
+            return f;
 
         if (blob.ok()) {
             if (blob->version != r.value) {
@@ -536,13 +480,9 @@ class Executor
             // anti-rollback check something to reject.
             sealedBlobs.push_back({*blob, spec_id, gva, r.value});
             TreeState &tree = gptTrees.at(hv_id);
-            const i64 tree_rc = treeUnmap(tree, gva);
-            if (tree_rc != 0) {
-                std::ostringstream msg;
-                msg << "tree unmap failed (rc " << tree_rc
-                    << ") where the flat spec evicted";
-                return msg.str();
-            }
+            if (auto f = treeStepOk("tree unmap", treeUnmap(tree, gva),
+                                    "evicted"))
+                return f;
             if (auto f = treeAgree(
                     "evict gpt", tree,
                     specState.enclaves.at(spec_id).gptHandle))
@@ -573,7 +513,7 @@ class Executor
         if (opts.mirLockstep)
             (void)specHcReloadPage(mirFlat, spec_id, pair.specOwner,
                                    pair.gva, pair.version);
-        if (auto f = verdictsAgree("reload_page", st, rc))
+        if (auto f = verdictsAgree("reload_page", st.error(), rc))
             return f;
 
         if (st.ok()) {
@@ -583,19 +523,13 @@ class Executor
             if (!back.isSome)
                 return "reload succeeded but the spec stage-1 slot is "
                        "empty";
-            u64 flags = pteRwFlags;
-            if (opts.treeSkewBug)
-                flags &= ~pteFlagW;
             TreeState &tree = gptTrees.at(hv_id);
-            const i64 tree_rc =
-                treeMap(tree, pair.gva,
-                        back.physAddr & ~(pageSize - 1), flags);
-            if (tree_rc != 0) {
-                std::ostringstream msg;
-                msg << "tree map failed (rc " << tree_rc
-                    << ") where the flat spec reloaded";
-                return msg.str();
-            }
+            if (auto f = treeStepOk(
+                    "tree map",
+                    treeMap(tree, pair.gva,
+                            back.physAddr & ~(pageSize - 1), treeFlags()),
+                    "reloaded"))
+                return f;
             if (auto f = treeAgree("reload gpt", tree, abs.gptHandle))
                 return f;
 
@@ -623,18 +557,14 @@ class Executor
     }
 
     /** Element gvas of a batch: a contiguous selector window so that a
-     *  batch of 1 decodes exactly like the single-op form. */
+     *  batch of 1 decodes exactly like the single-op form (index 0). */
     u64
     batchGva(i64 spec_id, u64 b_sel, u64 index) const
     {
         const auto abs_it = specState.enclaves.find(spec_id);
         if (abs_it != specState.enclaves.end() &&
-            abs_it->second.state != enclStateDead) {
-            const AbsEnclave &abs = abs_it->second;
-            const u64 el_pages = (abs.elEnd - abs.elStart) / pageSize;
-            return abs.elStart +
-                   ((b_sel + index) % (el_pages + 2)) * pageSize;
-        }
+            abs_it->second.state != enclStateDead)
+            return elrangeGva(abs_it->second, b_sel + index);
         return 0x10'0000 + ((b_sel + index) % 8) * pageSize;
     }
 
@@ -688,14 +618,12 @@ class Executor
             // to the MIR shadow state, as evict does.
             (void)specHcAddPagesBatch(mirFlat, spec_id, spec_ops);
         }
-        if (auto f = verdictsAgree("add_pages_batch", st, rc))
+        if (auto f = verdictsAgree("add_pages_batch", st.error(), rc))
             return f;
 
         if (st.ok()) {
             const AbsEnclave &abs = specState.enclaves.at(spec_id);
-            u64 flags = pteRwFlags;
-            if (opts.treeSkewBug)
-                flags &= ~pteFlagW;
+            const u64 flags = treeFlags();
             std::vector<TreeBatchOp> tree_ops;
             for (u64 i = 0; i < spec_ops.size(); ++i)
                 tree_ops.push_back(
@@ -705,13 +633,10 @@ class Executor
                              pageSize,
                      flags});
             TreeState &tree = gptTrees.at(hv_id);
-            const i64 tree_rc = treeApplyBatch(tree, tree_ops);
-            if (tree_rc != 0) {
-                std::ostringstream msg;
-                msg << "tree batch map failed (rc " << tree_rc
-                    << ") where the flat spec succeeded";
-                return msg.str();
-            }
+            if (auto f = treeStepOk("tree batch map",
+                                    treeApplyBatch(tree, tree_ops),
+                                    "succeeded"))
+                return f;
             if (auto f = treeAgree("add_pages_batch gpt", tree,
                                    abs.gptHandle))
                 return f;
@@ -753,24 +678,9 @@ class Executor
         if (opts.mirLockstep)
             (void)specHcEvictPagesBatch(mirFlat, spec_id, raw);
 
-        if (blobs.ok() != r.isOk) {
-            std::ostringstream msg;
-            msg << "evict batch verdicts differ: hv="
-                << (blobs.ok() ? "ok" : hvErrorName(blobs.error()))
-                << " spec=" << (r.isOk ? i64(0) : r.errCode);
-            return msg.str();
-        }
-        if (!blobs.ok() &&
-            classifyHv(blobs.error()) != classifySpec(r.errCode)) {
-            std::ostringstream msg;
-            msg << "evict batch error classes differ: hv="
-                << hvErrorName(blobs.error()) << " ("
-                << rcName(classifyHv(blobs.error())) << ") vs spec "
-                << r.errCode << " (" << rcName(classifySpec(r.errCode))
-                << ")";
-            return msg.str();
-        }
-        lastRc = blobs.ok() ? Rc::Ok : classifyHv(blobs.error());
+        if (auto f = verdictsAgree("evict batch", blobs.error(),
+                                   r.isOk ? 0 : r.errCode))
+            return f;
 
         if (blobs.ok()) {
             if (blobs->size() != raw.size() ||
@@ -791,13 +701,10 @@ class Executor
             for (const u64 gva : raw)
                 tree_ops.push_back({false, gva, 0, 0});
             TreeState &tree = gptTrees.at(hv_id);
-            const i64 tree_rc = treeApplyBatch(tree, tree_ops);
-            if (tree_rc != 0) {
-                std::ostringstream msg;
-                msg << "tree batch unmap failed (rc " << tree_rc
-                    << ") where the flat spec evicted";
-                return msg.str();
-            }
+            if (auto f = treeStepOk("tree batch unmap",
+                                    treeApplyBatch(tree, tree_ops),
+                                    "evicted"))
+                return f;
             if (auto f = treeAgree(
                     "evict_pages_batch gpt", tree,
                     specState.enclaves.at(spec_id).gptHandle))
@@ -855,22 +762,8 @@ class Executor
             (void)specHcSnapshot(mirFlat, spec_id, move, meas, nullptr);
         }
 
-        if (image.ok() != (rc == 0)) {
-            std::ostringstream msg;
-            msg << "snapshot verdicts differ: hv="
-                << (image.ok() ? "ok" : hvErrorName(image.error()))
-                << " spec=" << rc;
-            return msg.str();
-        }
-        if (!image.ok() && classifyHv(image.error()) != classifySpec(rc)) {
-            std::ostringstream msg;
-            msg << "snapshot error classes differ: hv="
-                << hvErrorName(image.error()) << " ("
-                << rcName(classifyHv(image.error())) << ") vs spec "
-                << rc << " (" << rcName(classifySpec(rc)) << ")";
-            return msg.str();
-        }
-        lastRc = image.ok() ? Rc::Ok : classifyHv(image.error());
+        if (auto f = verdictsAgree("snapshot", image.error(), rc))
+            return f;
 
         if (image.ok()) {
             // Image shape agreement: same pages, same gva order, the
@@ -919,7 +812,7 @@ class Executor
         if (images.empty())
             return std::nullopt;
         ensureTwin();
-        if (twinLowOnFrames())
+        if (lowOnFrames(*twin, twinState))
             return std::nullopt;
         const ImagePair &pair = images[op.a % images.size()];
         hv::EnclaveImage hv_img = pair.hvImage;
@@ -949,24 +842,9 @@ class Executor
         auto twin_id = twin->monitor().hcEnclaveRestoreImage(hv_img);
         const IntResult rc = specHcRestoreImage(twinState, abs_img);
 
-        if (twin_id.ok() != rc.isOk) {
-            std::ostringstream msg;
-            msg << "restore verdicts differ: hv="
-                << (twin_id.ok() ? "ok" : hvErrorName(twin_id.error()))
-                << " spec=" << (rc.isOk ? i64(0) : rc.errCode);
-            return msg.str();
-        }
-        if (!twin_id.ok() &&
-            classifyHv(twin_id.error()) != classifySpec(rc.errCode)) {
-            std::ostringstream msg;
-            msg << "restore error classes differ: hv="
-                << hvErrorName(twin_id.error()) << " ("
-                << rcName(classifyHv(twin_id.error())) << ") vs spec "
-                << rc.errCode << " ("
-                << rcName(classifySpec(rc.errCode)) << ")";
-            return msg.str();
-        }
-        lastRc = twin_id.ok() ? Rc::Ok : classifyHv(twin_id.error());
+        if (auto f = verdictsAgree("restore", twin_id.error(),
+                                   rc.isOk ? 0 : rc.errCode))
+            return f;
 
         if (twin_id.ok()) {
             // Only restores create enclaves on the twin, so ids stay
@@ -1006,7 +884,7 @@ class Executor
                 }
             }
         }
-        return twinInvariants("restore_image");
+        return invariantsAgree("restore_image", *twin, twinState, "twin ");
     }
 
     Fail
@@ -1020,7 +898,7 @@ class Executor
         i64 spec_id;
         pickEnclave(op.a, hv_id, spec_id);
         ensureTwin();
-        if (twinLowOnFrames())
+        if (lowOnFrames(*twin, twinState))
             return std::nullopt;
 
         const hv::Enclave *enc = machine.monitor().findEnclave(hv_id);
@@ -1148,7 +1026,7 @@ class Executor
         }
         if (auto f = invariantsAgree("migrate_live"))
             return f;
-        if (auto f = twinInvariants("migrate_live"))
+        if (auto f = invariantsAgree("migrate_live", *twin, twinState, "twin "))
             return f;
         return epcmAgree("migrate_live");
     }
@@ -1169,42 +1047,12 @@ class Executor
         }
     }
 
-    /** Invariants of the twin host, both concrete and abstract. */
-    Fail
-    twinInvariants(const char *where)
-    {
-        const auto hv_viol =
-            hv::checkMonitorInvariants(twin->monitor());
-        if (!hv_viol.empty())
-            return std::string(where) +
-                   ": twin monitor invariant broken: " + hv_viol.front();
-        const auto spec_viol = sec::checkInvariants(twinState);
-        if (!spec_viol.empty())
-            return std::string(where) +
-                   ": twin abstract invariant broken: " +
-                   spec_viol.front().detail;
-        return std::nullopt;
-    }
-
     /** The restore/migration target host, created on first use. */
     void
     ensureTwin()
     {
         if (!twin)
             twin = std::make_unique<Machine>(opts.monitor);
-    }
-
-    /** The twin-side analogue of lowOnFrames (same model gap). */
-    bool
-    twinLowOnFrames() const
-    {
-        const auto &fa = twin->monitor().ptAlloc();
-        if (fa.totalFrames() - fa.usedFrames() < 16)
-            return true;
-        u64 free_spec = 0;
-        for (const bool used : twinState.allocated)
-            free_spec += used ? 0 : 1;
-        return free_spec < 16;
     }
 
     Fail
@@ -1376,11 +1224,10 @@ class Executor
         const AbsEnclave &abs = specState.enclaves.at(idMap.at(hv_id));
 
         u64 va;
-        const u64 el_pages = (abs.elEnd - abs.elStart) / pageSize;
         if (op.c % 3 == 2)
             va = abs.mbufGva + (op.b % abs.mbufPages) * pageSize;
         else
-            va = abs.elStart + (op.b % (el_pages + 2)) * pageSize;
+            va = elrangeGva(abs, op.b);
 
         lastRc = Rc::Ok;
         for (const bool is_write : {false, true}) {
@@ -1499,26 +1346,40 @@ class Executor
     /// @name Shared oracles
     /// @{
 
+    /** hv verdict (HvError::None = ok) vs the spec's code (0 = ok),
+     *  exactly and then by coarse class; records lastRc. */
     Fail
-    verdictsAgree(const char *what, const Status &st, i64 rc)
+    verdictsAgree(const char *what, HvError error, i64 rc)
     {
-        if (st.ok() != (rc == 0)) {
+        const bool hv_ok = error == HvError::None;
+        if (hv_ok != (rc == 0)) {
             std::ostringstream msg;
             msg << what << " verdicts differ: hv="
-                << (st.ok() ? "ok" : hvErrorName(st.error()))
-                << " spec=" << rc;
+                << (hv_ok ? "ok" : hvErrorName(error)) << " spec=" << rc;
             return msg.str();
         }
-        if (!st.ok() && classifyHv(st.error()) != classifySpec(rc)) {
+        if (!hv_ok && classifyHv(error) != classifySpec(rc)) {
             std::ostringstream msg;
             msg << what << " error classes differ: hv="
-                << hvErrorName(st.error()) << " ("
-                << rcName(classifyHv(st.error())) << ") vs spec " << rc
-                << " (" << rcName(classifySpec(rc)) << ")";
+                << hvErrorName(error) << " (" << rcName(classifyHv(error))
+                << ") vs spec " << rc << " (" << rcName(classifySpec(rc))
+                << ")";
             return msg.str();
         }
-        lastRc = st.ok() ? Rc::Ok : classifyHv(st.error());
+        lastRc = classifyHv(error);
         return std::nullopt;
+    }
+
+    /** A tree-mirror step must succeed wherever the flat spec's did. */
+    static Fail
+    treeStepOk(const char *step, i64 tree_rc, const char *spec_did)
+    {
+        if (tree_rc == 0)
+            return std::nullopt;
+        std::ostringstream msg;
+        msg << step << " failed (rc " << tree_rc
+            << ") where the flat spec " << spec_did;
+        return msg.str();
     }
 
     /** hv uncached walk vs specMemTranslate on the same va. */
@@ -1587,15 +1448,23 @@ class Executor
     Fail
     invariantsAgree(const char *where)
     {
+        return invariantsAgree(where, machine, specState, "");
+    }
+
+    /** The same on one host; `host` prefixes the report ("twin "). */
+    static Fail
+    invariantsAgree(const char *where, const Machine &host_machine,
+                    const FlatState &state, const char *host)
+    {
         const auto hv_viol =
-            hv::checkMonitorInvariants(machine.monitor());
+            hv::checkMonitorInvariants(host_machine.monitor());
         if (!hv_viol.empty())
-            return std::string(where) + ": monitor invariant broken: " +
-                   hv_viol.front();
-        const auto spec_viol = sec::checkInvariants(specState);
+            return std::string(where) + ": " + host +
+                   "monitor invariant broken: " + hv_viol.front();
+        const auto spec_viol = sec::checkInvariants(state);
         if (!spec_viol.empty())
-            return std::string(where) + ": abstract invariant broken: " +
-                   spec_viol.front().detail;
+            return std::string(where) + ": " + host +
+                   "abstract invariant broken: " + spec_viol.front().detail;
         return std::nullopt;
     }
 
@@ -1657,6 +1526,24 @@ class Executor
     /// @name Decoding helpers
     /// @{
 
+    /**
+     * ELRANGE page `sel` of an enclave: +2 slots reach exactly elEnd
+     * (the off-by-one boundary) and one page beyond.
+     */
+    static u64
+    elrangeGva(const AbsEnclave &abs, u64 sel)
+    {
+        const u64 el_pages = (abs.elEnd - abs.elStart) / pageSize;
+        return abs.elStart + (sel % (el_pages + 2)) * pageSize;
+    }
+
+    /** Leaf flags the tree mirror installs for an enclave page. */
+    u64
+    treeFlags() const
+    {
+        return opts.treeSkewBug ? pteRwFlags & ~pteFlagW : pteRwFlags;
+    }
+
     void
     pickEnclave(u64 sel, EnclaveId &hv_id, i64 &spec_id)
     {
@@ -1678,12 +1565,10 @@ class Executor
         if (inEnclave) {
             const AbsEnclave &abs =
                 specState.enclaves.at(idMap.at(curEnclave));
-            const u64 el_pages = (abs.elEnd - abs.elStart) / pageSize;
             switch (op.a % 4) {
               case 0:
               case 1:
-                return abs.elStart +
-                       (op.b % (el_pages + 2)) * pageSize + off;
+                return elrangeGva(abs, op.b) + off;
               case 2:
                 return abs.mbufGva +
                        (op.b % abs.mbufPages) * pageSize + off;
@@ -1717,13 +1602,20 @@ class Executor
      * while any side has fewer than 16 free frames.
      */
     bool
-    lowOnFrames()
+    lowOnFrames() const
     {
-        const auto &fa = machine.monitor().ptAlloc();
+        return lowOnFrames(machine, specState);
+    }
+
+    /** The same guard on one host (the twin has the same model gap). */
+    static bool
+    lowOnFrames(const Machine &host_machine, const FlatState &state)
+    {
+        const auto &fa = host_machine.monitor().ptAlloc();
         if (fa.totalFrames() - fa.usedFrames() < 16)
             return true;
         u64 free_spec = 0;
-        for (const bool used : specState.allocated)
+        for (const bool used : state.allocated)
             free_spec += used ? 0 : 1;
         return free_spec < 16;
     }

@@ -166,7 +166,7 @@ SmpExecutor::applyOp(const Op &op)
       case OpKind::HcRemove: {
         const u64 which = op.a % enclaves.size();
         const auto st =
-            smp.hcEnclaveDestroy(v, EnclaveId(enclaveIdOf(op.a)));
+            smp.hcEnclaveRemove(v, EnclaveId(enclaveIdOf(op.a)));
         if (st)
             enclaves[which].reset();
         return codeOf(st);

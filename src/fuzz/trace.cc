@@ -12,12 +12,9 @@ namespace
 constexpr const char *traceHeader = "hev-trace v1";
 
 constexpr const char *kindNames[opKindCount] = {
-    "hc_init",     "hc_add_page", "hc_init_finish", "hc_remove",
-    "enter",       "exit",        "mem_load",       "mem_store",
-    "os_unmap",    "os_map",      "query_va",       "layer_map",
-    "layer_unmap", "layer_query", "evict_page",     "reload_page",
-    "add_pages_batch", "evict_pages_batch",
-    "snapshot",    "restore_image", "migrate_live",
+#define HEV_OP_NAME(kind, name) name,
+    HEV_FUZZ_OPS(HEV_OP_NAME)
+#undef HEV_OP_NAME
 };
 
 /** Parse a decimal or 0x-hex u64. */

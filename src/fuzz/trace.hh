@@ -24,33 +24,45 @@
 namespace hev::fuzz
 {
 
-/** The op vocabulary (paper Sec. 5.1 steps plus layer ops). */
+/**
+ * The op vocabulary (paper Sec. 5.1 steps plus layer ops), declared
+ * once: X(Enumerator, "snake_name").  The enumerator order is the
+ * on-disk opcode (flight records, corpus signatures), so entries only
+ * ever append.
+ */
+#define HEV_FUZZ_OPS(X) \
+    X(HcInit, "hc_init") /* hypercall init; a=ELRANGE sel, b=pages, c=mbuf, d=twist */ \
+    X(HcAddPage, "hc_add_page") /* hypercall add_page; a=enclave sel, b=gva sel, c=twist/kind */ \
+    X(HcInitFinish, "hc_init_finish") /* hypercall init_finish; a=enclave sel */ \
+    X(HcRemove, "hc_remove") /* hypercall remove; a=enclave sel */ \
+    X(Enter, "enter") /* hypercall enter; a=enclave sel */ \
+    X(Exit, "exit") /* hypercall exit */ \
+    X(MemLoad, "mem_load") /* mem_load by the running principal; a/b=va sel, c=offset */ \
+    X(MemStore, "mem_store") /* mem_store; a/b=va sel, c=offset, d=value */ \
+    X(OsUnmap, "os_unmap") /* guest unmaps a kernel GPT page + CR3 reload; a=page sel */ \
+    X(OsMap, "os_map") /* guest restores an identity mapping + CR3 reload; a=page sel */ \
+    X(QueryVa, "query_va") /* uncached differential translation probe; a/b/c=va sel */ \
+    X(LayerMap, "layer_map") /* as_map on the scratch AS (spec/MIR/tree); a=va, b=pa, c=flags */ \
+    X(LayerUnmap, "layer_unmap") /* as_unmap on the scratch AS; a=va */ \
+    X(LayerQuery, "layer_query") /* as_query on the scratch AS; a=va */ \
+    X(EvictPage, "evict_page") /* hypercall evict (EWB); a=enclave sel, b=gva sel */ \
+    X(ReloadPage, "reload_page") /* hypercall reload (ELD); a=enclave sel, b=gva sel, c=blob sel */ \
+    X(AddPagesBatch, "add_pages_batch") /* batched add_page; a=enclave sel, b=gva sel, c=twist/kind, d=count */ \
+    X(EvictPagesBatch, "evict_pages_batch") /* batched evict; a=enclave sel, b=gva sel, d=count */ \
+    X(Snapshot, "snapshot") /* whole-enclave snapshot; a=enclave sel, b=mode (odd=Move) */ \
+    X(RestoreImage, "restore_image") /* restore on the twin host; a=image sel, c=corruption sel */ \
+    X(MigrateLive, "migrate_live") /* live pre-copy migration to the twin; a=enclave sel, b=rounds, c=mode */
+
 enum class OpKind : u8
 {
-    HcInit,        //!< hypercall init; a=ELRANGE sel, b=pages, c=mbuf, d=twist
-    HcAddPage,     //!< hypercall add_page; a=enclave sel, b=gva sel, c=twist/kind
-    HcInitFinish,  //!< hypercall init_finish; a=enclave sel
-    HcRemove,      //!< hypercall remove; a=enclave sel
-    Enter,         //!< hypercall enter; a=enclave sel
-    Exit,          //!< hypercall exit
-    MemLoad,       //!< mem_load by the running principal; a/b=va sel, c=offset
-    MemStore,      //!< mem_store; a/b=va sel, c=offset, d=value
-    OsUnmap,       //!< guest unmaps a kernel GPT page + CR3 reload; a=page sel
-    OsMap,         //!< guest restores an identity mapping + CR3 reload; a=page sel
-    QueryVa,       //!< uncached differential translation probe; a/b/c=va sel
-    LayerMap,      //!< as_map on the scratch AS (spec/MIR/tree); a=va, b=pa, c=flags
-    LayerUnmap,    //!< as_unmap on the scratch AS; a=va
-    LayerQuery,    //!< as_query on the scratch AS; a=va
-    EvictPage,     //!< hypercall evict (EWB); a=enclave sel, b=gva sel
-    ReloadPage,    //!< hypercall reload (ELD); a=enclave sel, b=gva sel, c=blob sel
-    AddPagesBatch,   //!< batched add_page; a=enclave sel, b=gva sel, c=twist/kind, d=count
-    EvictPagesBatch, //!< batched evict; a=enclave sel, b=gva sel, d=count
-    Snapshot,        //!< whole-enclave snapshot; a=enclave sel, b=mode (odd=Move)
-    RestoreImage,    //!< restore on the twin host; a=image sel, c=corruption sel
-    MigrateLive,     //!< live pre-copy migration to the twin; a=enclave sel, b=rounds, c=mode
+#define HEV_OP_ENUMERATOR(kind, name) kind,
+    HEV_FUZZ_OPS(HEV_OP_ENUMERATOR)
+#undef HEV_OP_ENUMERATOR
 };
 
-constexpr u32 opKindCount = 21;
+#define HEV_OP_COUNT(kind, name) +1
+constexpr u32 opKindCount = 0 HEV_FUZZ_OPS(HEV_OP_COUNT);
+#undef HEV_OP_COUNT
 
 /** Stable lower-snake name ("hc_init", "mem_load", ...). */
 const char *opKindName(OpKind kind);

@@ -1,6 +1,6 @@
 #include "hv/tlb.hh"
 
-#include <vector>
+#include <algorithm>
 
 #include "obs/stats.hh"
 #include "obs/trace.hh"
@@ -48,13 +48,9 @@ Tlb::flushDomain(DomainId domain)
 {
     ++flushCount;
     statFlushes.inc();
-    std::vector<u64> doomed;
-    for (const auto &[key, entry] : entries) {
-        if ((key >> 52) == domain)
-            doomed.push_back(key);
-    }
-    for (u64 key : doomed)
-        entries.erase(key);
+    std::erase_if(entries, [domain](const auto &kv) {
+        return kv.first.domain == domain;
+    });
     statEntries.set(i64(entries.size()));
 }
 
@@ -71,12 +67,10 @@ Tlb::invalidatePage(DomainId domain, u64 va)
 u64
 Tlb::countDomain(DomainId domain) const
 {
-    u64 count = 0;
-    for (const auto &[key, entry] : entries) {
-        if ((key >> 52) == domain)
-            ++count;
-    }
-    return count;
+    return u64(std::count_if(entries.begin(), entries.end(),
+                             [domain](const auto &kv) {
+                                 return kv.first.domain == domain;
+                             }));
 }
 
 void
@@ -84,8 +78,7 @@ Tlb::forEach(
     const std::function<void(DomainId, u64, const TlbEntry &)> &visit) const
 {
     for (const auto &[key, entry] : entries)
-        visit(DomainId(key >> 52), (key & ((1ull << 52) - 1)) << pageShift,
-              entry);
+        visit(key.domain, key.vpn << pageShift, entry);
 }
 
 void

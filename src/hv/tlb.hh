@@ -73,14 +73,32 @@ class Tlb
     u64 flushes() const { return flushCount; }
 
   private:
-    /** Key: domain in the high 32 bits, VPN in the low bits. */
-    static u64
+    /** The full (domain, VPN) tag: no domain bit is dropped. */
+    struct Key
+    {
+        DomainId domain = 0;
+        u64 vpn = 0;
+        bool operator==(const Key &) const = default;
+    };
+
+    struct KeyHash
+    {
+        size_t
+        operator()(const Key &key) const
+        {
+            // VPNs of 48-bit VAs fit in 36 bits; the domain fills the
+            // bits above (equality still compares both fields whole).
+            return std::hash<u64>{}(key.vpn ^ (u64(key.domain) << 36));
+        }
+    };
+
+    static Key
     keyOf(DomainId domain, u64 va)
     {
-        return (u64(domain) << 52) | (va >> pageShift);
+        return {domain, va >> pageShift};
     }
 
-    std::unordered_map<u64, TlbEntry> entries;
+    std::unordered_map<Key, TlbEntry, KeyHash> entries;
     mutable u64 hitCount = 0;
     mutable u64 missCount = 0;
     u64 flushCount = 0;

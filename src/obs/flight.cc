@@ -7,8 +7,8 @@
 #include <sstream>
 #include <vector>
 
+#include "obs/ring.hh"
 #include "obs/stats.hh"
-#include "support/thread_annotations.hh"
 #include "obs/trace.hh"
 
 /** Stamped by the build system; hev_obs carries the provenance. */
@@ -22,82 +22,10 @@ namespace hev::obs
 namespace
 {
 
-/** A thread's flight ring.  Only the owner writes; head publishes. */
-struct FlightRing
-{
-    u32 tid = 0;
-    std::atomic<u64> head{0}; //!< records ever written
-    std::vector<FlightRecord> slots{flightRingCapacity};
+using Rings = detail::PerThreadRing<FlightRecord, flightRingCapacity,
+                                    FlightDump>;
 
-    FlightRing();
-    ~FlightRing();
-
-    void
-    push(const FlightRecord &record)
-    {
-        const u64 h = head.load(std::memory_order_relaxed);
-        slots[h % flightRingCapacity] = record;
-        head.store(h + 1, std::memory_order_release);
-    }
-};
-
-/** Copy a ring's surviving records in emission order (quiescent). */
-FlightDump
-drain(const FlightRing &ring)
-{
-    FlightDump out;
-    out.tid = ring.tid;
-    const u64 head = ring.head.load(std::memory_order_acquire);
-    const u64 kept =
-        head < flightRingCapacity ? head : flightRingCapacity;
-    out.dropped = head - kept;
-    out.records.reserve(kept);
-    for (u64 i = head - kept; i < head; ++i)
-        out.records.push_back(ring.slots[i % flightRingCapacity]);
-    return out;
-}
-
-struct Recorder
-{
-    Mutex mu;
-    u32 nextTid HEV_GUARDED_BY(mu) = 1;
-    std::vector<FlightRing *> rings HEV_GUARDED_BY(mu);
-    std::vector<FlightDump> retired HEV_GUARDED_BY(mu);
-    /** Lock-free by design: tags are drawn without taking mu. */
-    std::atomic<u16> nextRunTag{1};
-};
-
-Recorder &
-recorder()
-{
-    static Recorder r;
-    return r;
-}
-
-FlightRing::FlightRing()
-{
-    Recorder &rec = recorder();
-    MutexGuard lock(rec.mu);
-    tid = rec.nextTid++;
-    rec.rings.push_back(this);
-}
-
-FlightRing::~FlightRing()
-{
-    Recorder &rec = recorder();
-    MutexGuard lock(rec.mu);
-    FlightDump last = drain(*this);
-    if (last.dropped || !last.records.empty())
-        rec.retired.push_back(std::move(last));
-    std::erase(rec.rings, this);
-}
-
-FlightRing &
-localRing()
-{
-    thread_local FlightRing ring;
-    return ring;
-}
+std::atomic<u16> nextRunTag{1};
 
 } // namespace
 
@@ -109,7 +37,7 @@ flightRecordSlow(const FlightRecord &record)
 {
     FlightRecord stamped = record;
     stamped.ts = traceNowNs();
-    localRing().push(stamped);
+    Rings::push(stamped);
 }
 
 } // namespace detail
@@ -117,38 +45,25 @@ flightRecordSlow(const FlightRecord &record)
 u16
 newFlightRunTag()
 {
-    Recorder &rec = recorder();
-    u16 tag = rec.nextRunTag.fetch_add(1, std::memory_order_relaxed);
+    u16 tag = nextRunTag.fetch_add(1, std::memory_order_relaxed);
     // Tag 0 means "no filter" in flightTail; never hand it out.  The
     // 16-bit wrap is harmless: rings hold 256 records, so a reused
     // tag's old records were evicted tens of thousands of runs ago.
     while (tag == 0)
-        tag = rec.nextRunTag.fetch_add(1, std::memory_order_relaxed);
+        tag = nextRunTag.fetch_add(1, std::memory_order_relaxed);
     return tag;
 }
 
 std::vector<FlightDump>
 collectFlight()
 {
-    Recorder &rec = recorder();
-    MutexGuard lock(rec.mu);
-    std::vector<FlightDump> out = rec.retired;
-    for (const FlightRing *ring : rec.rings) {
-        FlightDump slice = drain(*ring);
-        if (slice.dropped || !slice.records.empty())
-            out.push_back(std::move(slice));
-    }
-    return out;
+    return Rings::collect();
 }
 
 void
 clearFlight()
 {
-    Recorder &rec = recorder();
-    MutexGuard lock(rec.mu);
-    rec.retired.clear();
-    for (FlightRing *ring : rec.rings)
-        ring->head.store(0, std::memory_order_release);
+    Rings::clear();
 }
 
 std::vector<FlightRecord>
@@ -166,11 +81,22 @@ flightTail(u16 run_tag, u64 last_per_thread)
                        kept.end() - ptrdiff_t(last_per_thread));
         merged.insert(merged.end(), kept.begin(), kept.end());
     }
-    std::stable_sort(merged.begin(), merged.end(),
-                     [](const FlightRecord &a, const FlightRecord &b) {
-                         return a.ts < b.ts;
+    // Sort pointers, not records: libstdc++'s stable_sort scratch
+    // buffer ignores FlightRecord's 64-byte alignment (UBSan flags the
+    // misaligned stores).
+    std::vector<const FlightRecord *> order;
+    order.reserve(merged.size());
+    for (const FlightRecord &record : merged)
+        order.push_back(&record);
+    std::stable_sort(order.begin(), order.end(),
+                     [](const FlightRecord *a, const FlightRecord *b) {
+                         return a->ts < b->ts;
                      });
-    return merged;
+    std::vector<FlightRecord> tail;
+    tail.reserve(order.size());
+    for (const FlightRecord *record : order)
+        tail.push_back(*record);
+    return tail;
 }
 
 u64

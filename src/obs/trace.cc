@@ -8,6 +8,7 @@
 #include <sstream>
 #include <unordered_set>
 
+#include "obs/ring.hh"
 #include "support/thread_annotations.hh"
 
 namespace hev::obs
@@ -80,46 +81,12 @@ traceNowNs()
 namespace
 {
 
-/** A thread's ring.  Only the owner writes; head publishes. */
-struct Ring
-{
-    u32 tid = 0;
-    std::atomic<u64> head{0}; //!< events ever written
-    std::vector<TraceEvent> slots{traceRingCapacity};
-
-    Ring();
-    ~Ring();
-
-    void
-    push(const TraceEvent &event)
-    {
-        const u64 h = head.load(std::memory_order_relaxed);
-        slots[h % traceRingCapacity] = event;
-        head.store(h + 1, std::memory_order_release);
-    }
-};
-
-/** Copy a ring's surviving events in emission order (quiescent). */
-ThreadTrace
-drain(const Ring &ring)
-{
-    ThreadTrace out;
-    out.tid = ring.tid;
-    const u64 head = ring.head.load(std::memory_order_acquire);
-    const u64 kept = head < traceRingCapacity ? head : traceRingCapacity;
-    out.dropped = head - kept;
-    out.events.reserve(kept);
-    for (u64 i = head - kept; i < head; ++i)
-        out.events.push_back(ring.slots[i % traceRingCapacity]);
-    return out;
-}
+using Rings = detail::PerThreadRing<TraceEvent, traceRingCapacity,
+                                    ThreadTrace>;
 
 struct Tracer
 {
     Mutex mu;
-    u32 nextTid HEV_GUARDED_BY(mu) = 1;
-    std::vector<Ring *> rings HEV_GUARDED_BY(mu);
-    std::vector<ThreadTrace> retired HEV_GUARDED_BY(mu);
     std::unordered_set<std::string> names HEV_GUARDED_BY(mu);
     /** Events ever recorded per type, immune to ring wraparound.
      *  Lock-free by design: bumped without taking mu. */
@@ -131,31 +98,6 @@ tracer()
 {
     static Tracer t;
     return t;
-}
-
-Ring::Ring()
-{
-    Tracer &tr = tracer();
-    MutexGuard lock(tr.mu);
-    tid = tr.nextTid++;
-    tr.rings.push_back(this);
-}
-
-Ring::~Ring()
-{
-    Tracer &tr = tracer();
-    MutexGuard lock(tr.mu);
-    ThreadTrace last = drain(*this);
-    if (last.dropped || !last.events.empty())
-        tr.retired.push_back(std::move(last));
-    std::erase(tr.rings, this);
-}
-
-Ring &
-localRing()
-{
-    thread_local Ring ring;
-    return ring;
 }
 
 /** Stable storage for an event name (content-interned). */
@@ -183,7 +125,7 @@ traceEventSlow(EventType type, const char *name, u64 arg0, u64 arg1,
     event.arg0 = arg0;
     event.arg1 = arg1;
     event.type = type;
-    localRing().push(event);
+    Rings::push(event);
     tracer().totals[u32(type)].fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -192,26 +134,14 @@ traceEventSlow(EventType type, const char *name, u64 arg0, u64 arg1,
 std::vector<ThreadTrace>
 collectTrace()
 {
-    Tracer &tr = tracer();
-    MutexGuard lock(tr.mu);
-    std::vector<ThreadTrace> out = tr.retired;
-    for (const Ring *ring : tr.rings) {
-        ThreadTrace slice = drain(*ring);
-        if (slice.dropped || !slice.events.empty())
-            out.push_back(std::move(slice));
-    }
-    return out;
+    return Rings::collect();
 }
 
 void
 clearTrace()
 {
-    Tracer &tr = tracer();
-    MutexGuard lock(tr.mu);
-    tr.retired.clear();
-    for (Ring *ring : tr.rings)
-        ring->head.store(0, std::memory_order_release);
-    for (auto &total : tr.totals)
+    Rings::clear();
+    for (auto &total : tracer().totals)
         total.store(0, std::memory_order_relaxed);
 }
 

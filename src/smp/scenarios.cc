@@ -287,7 +287,7 @@ coherenceShard(check::ShardContext &ctx, const SmpScenarioOptions &opts)
                         // Rare full teardown: destroy (fails while any
                         // vCPU is resident) and rebuild on success.
                         const u64 j = rng.below(enclaves.size());
-                        if (smp.hcEnclaveDestroy(v, enclaves[j].id)) {
+                        if (smp.hcEnclaveRemove(v, enclaves[j].id)) {
                             auto fresh = smp.machine().setupEnclave(
                                 elrangeBases[j], 2, 1, step + 1);
                             if (fresh)

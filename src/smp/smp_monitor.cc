@@ -467,7 +467,7 @@ SmpMonitor::hcEnclaveExit(VcpuId v)
 }
 
 Status
-SmpMonitor::hcEnclaveDestroy(VcpuId v, EnclaveId id)
+SmpMonitor::hcEnclaveRemove(VcpuId v, EnclaveId id)
 {
     ExclusiveServicingGuard guard(*this, structuralLock, v,
                                   LockRank::Structural);

@@ -177,12 +177,12 @@ class SmpMonitor
     Status hcEnclaveExit(VcpuId v);
 
     /**
-     * Destroy: rejected while *any* vCPU in the table is inside the
+     * Remove: rejected while *any* vCPU in the table is inside the
      * enclave (not merely the calling one), then a shootdown of the
      * enclave's domain retires every remote stale translation before
      * the EPC pages are scrubbed and the table frames freed.
      */
-    Status hcEnclaveDestroy(VcpuId v, EnclaveId id);
+    Status hcEnclaveRemove(VcpuId v, EnclaveId id);
 
     /** EREPORT analogue for the enclave this vCPU is resident in. */
     Expected<hv::EnclaveReport> hcEnclaveReport(VcpuId v);

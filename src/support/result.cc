@@ -1,33 +1,20 @@
 #include "support/result.hh"
 
+#include <iterator>
+
 namespace hev
 {
 
 const char *
 hvErrorName(HvError e)
 {
-    switch (e) {
-      case HvError::None: return "None";
-      case HvError::OutOfMemory: return "OutOfMemory";
-      case HvError::InvalidParam: return "InvalidParam";
-      case HvError::AlreadyMapped: return "AlreadyMapped";
-      case HvError::NotMapped: return "NotMapped";
-      case HvError::NotAligned: return "NotAligned";
-      case HvError::PermissionDenied: return "PermissionDenied";
-      case HvError::EpcmConflict: return "EpcmConflict";
-      case HvError::OutOfEpc: return "OutOfEpc";
-      case HvError::BadEnclaveState: return "BadEnclaveState";
-      case HvError::NoSuchEnclave: return "NoSuchEnclave";
-      case HvError::IsolationViolation: return "IsolationViolation";
-      case HvError::Unsupported: return "Unsupported";
-      case HvError::SealAuthFailed: return "SealAuthFailed";
-      case HvError::SealRollback: return "SealRollback";
-      case HvError::ShootdownInFlight: return "ShootdownInFlight";
-      case HvError::ImageAuthFailed: return "ImageAuthFailed";
-      case HvError::ImageRollback: return "ImageRollback";
-      case HvError::ImageTruncated: return "ImageTruncated";
-    }
-    return "Unknown";
+    static constexpr const char *names[] = {
+#define HEV_HV_ERROR_NAME(name) #name,
+        HEV_HV_ERRORS(HEV_HV_ERROR_NAME)
+#undef HEV_HV_ERROR_NAME
+    };
+    const auto index = size_t(e);
+    return index < std::size(names) ? names[index] : "Unknown";
 }
 
 } // namespace hev

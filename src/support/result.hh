@@ -19,28 +19,37 @@
 namespace hev
 {
 
-/** Error codes mirroring the HyperEnclave hypercall error surface. */
+/**
+ * Error codes mirroring the HyperEnclave hypercall error surface,
+ * declared once: X(Enumerator); hvErrorName is the enumerator's
+ * spelling.  None must stay first (value 0).
+ */
+#define HEV_HV_ERRORS(X) \
+    X(None) \
+    X(OutOfMemory)        /* frame allocator exhausted */ \
+    X(InvalidParam)       /* malformed hypercall argument */ \
+    X(AlreadyMapped)      /* mapping exists where a fresh one was required */ \
+    X(NotMapped)          /* translation miss */ \
+    X(NotAligned)         /* address not page aligned */ \
+    X(PermissionDenied)   /* access violates the installed permissions */ \
+    X(EpcmConflict)       /* EPC page already owned / wrong state */ \
+    X(OutOfEpc)           /* no free EPC page */ \
+    X(BadEnclaveState)    /* lifecycle violation (e.g. add_page after init) */ \
+    X(NoSuchEnclave)      /* unknown enclave id */ \
+    X(IsolationViolation) /* request would break spatial isolation */ \
+    X(Unsupported)        /* operation outside the modeled subset */ \
+    X(SealAuthFailed)     /* sealed-blob MAC / ownership check failed */ \
+    X(SealRollback)       /* sealed-blob version is stale (anti-rollback) */ \
+    X(ShootdownInFlight)  /* page is inside an in-flight batched shootdown */ \
+    X(ImageAuthFailed)    /* enclave-image MAC / digest check failed */ \
+    X(ImageRollback)      /* enclave-image version vector is stale */ \
+    X(ImageTruncated)     /* enclave-image page vector is short / oversized */
+
 enum class HvError
 {
-    None = 0,
-    OutOfMemory,        //!< frame allocator exhausted
-    InvalidParam,       //!< malformed hypercall argument
-    AlreadyMapped,      //!< mapping exists where a fresh one was required
-    NotMapped,          //!< translation miss
-    NotAligned,         //!< address not page aligned
-    PermissionDenied,   //!< access violates the installed permissions
-    EpcmConflict,       //!< EPC page already owned / wrong state
-    OutOfEpc,           //!< no free EPC page
-    BadEnclaveState,    //!< lifecycle violation (e.g. add_page after init)
-    NoSuchEnclave,      //!< unknown enclave id
-    IsolationViolation, //!< request would break spatial isolation
-    Unsupported,        //!< operation outside the modeled subset
-    SealAuthFailed,     //!< sealed-blob MAC / ownership check failed
-    SealRollback,       //!< sealed-blob version is stale (anti-rollback)
-    ShootdownInFlight,  //!< page is inside an in-flight batched shootdown
-    ImageAuthFailed,    //!< enclave-image MAC / digest check failed
-    ImageRollback,      //!< enclave-image version vector is stale
-    ImageTruncated,     //!< enclave-image page vector is short / oversized
+#define HEV_HV_ERROR_ENUMERATOR(name) name,
+    HEV_HV_ERRORS(HEV_HV_ERROR_ENUMERATOR)
+#undef HEV_HV_ERROR_ENUMERATOR
 };
 
 /** Human-readable name for an HvError. */

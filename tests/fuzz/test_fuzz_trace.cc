@@ -1,8 +1,11 @@
 /**
  * @file
  * The trace format: serialization round-trips, parser tolerance
- * (comments, blank lines, hex numbers, CRLF) and error reporting.
+ * (comments, blank lines, hex numbers, CRLF) and error reporting, plus
+ * the op vocabulary: names round-trip and every op is seeded.
  */
+
+#include <set>
 
 #include <gtest/gtest.h>
 
@@ -24,6 +27,18 @@ TEST(FuzzTrace, KindNamesRoundTrip)
         EXPECT_EQ(*back, kind);
     }
     EXPECT_FALSE(opKindFromName("no_such_op").has_value());
+}
+
+TEST(FuzzTrace, EveryOpKindHasASeedTrace)
+{
+    // The corpus starts from seedTraces(); an op no seed exercises is
+    // reached only by random generation, never by mutating a skeleton.
+    std::set<OpKind> seen;
+    for (const Trace &trace : seedTraces())
+        for (const Op &op : trace.ops)
+            seen.insert(op.kind);
+    for (u32 i = 0; i < opKindCount; ++i)
+        EXPECT_TRUE(seen.count(OpKind(i))) << opKindName(OpKind(i));
 }
 
 TEST(FuzzTrace, SerializeParseRoundTrip)

@@ -3,6 +3,8 @@
  * Unit tests for the tagged TLB model.
  */
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "hv/tlb.hh"
@@ -143,6 +145,37 @@ TEST(TlbTest, FlushDomainOnEmptyDomainCountsNoFlushWork)
     tlb.flushDomain(7); // no entries tagged 7
     EXPECT_EQ(tlb.size(), size_before);
     EXPECT_TRUE(tlb.lookup(2, 0x1000).has_value());
+}
+
+TEST(TlbTest, WideDomainIdsKeepTheirFullTag)
+{
+    // Domain ids are 32-bit; a tag that kept only the low 12 bits made
+    // enclave 4096 alias the normal VM and made flushDomain miss every
+    // id from 4096 on, leaking entries.
+    Tlb tlb;
+    tlb.insert(normalVmDomain, 0x1000, {0x9000, true});
+    tlb.insert(4096, 0x1000, {0xa000, false});
+    tlb.insert(5000, 0x1000, {0xb000, true});
+    tlb.insert(5000, 0x2000, {0xc000, true});
+    EXPECT_EQ(tlb.size(), 4ull);
+    EXPECT_EQ(tlb.lookup(normalVmDomain, 0x1000)->hpaPage, 0x9000ull);
+    EXPECT_EQ(tlb.lookup(4096, 0x1000)->hpaPage, 0xa000ull);
+
+    tlb.flushDomain(4096);
+    EXPECT_FALSE(tlb.lookup(4096, 0x1000).has_value());
+    ASSERT_TRUE(tlb.lookup(normalVmDomain, 0x1000).has_value());
+    EXPECT_EQ(tlb.countDomain(normalVmDomain), 1ull);
+
+    tlb.flushDomain(5000);
+    EXPECT_EQ(tlb.countDomain(5000), 0ull);
+    EXPECT_EQ(tlb.size(), 1ull);
+
+    std::vector<DomainId> domains;
+    tlb.forEach([&](DomainId domain, u64 va_page, const TlbEntry &) {
+        domains.push_back(domain);
+        EXPECT_EQ(va_page, 0x1000ull);
+    });
+    EXPECT_EQ(domains, std::vector<DomainId>{normalVmDomain});
 }
 
 } // namespace

@@ -10,14 +10,17 @@ fixture and asserts:
   - the expected substring appears in its output (it is the *right*
     violation, not a parse error).
 
-It also runs the linter over the real tree (--require-all) and asserts
-a clean pass, so the planted fixtures cannot rot into "everything
-fails" false positives.
+Every check the linter still runs (hev_lint.CHECKS) must be fired by
+at least one fixture, so a check cannot lose its planted violation
+unnoticed.  It also runs the linter over the real tree (--require-all)
+and asserts a clean pass, so the planted fixtures cannot rot into
+"everything fails" false positives.
 
 Usage: run_fixtures.py <repo-root>
 """
 
 import os
+import re
 import subprocess
 import sys
 
@@ -39,7 +42,12 @@ def main():
     lint = os.path.join(repo, "tools", "hev_lint.py")
     fixtures = os.path.join(repo, "tests", "lint", "fixtures")
 
+    sys.dont_write_bytecode = True  # no __pycache__ in the source tree
+    sys.path.insert(0, os.path.dirname(lint))
+    import hev_lint
+
     failures = 0
+    fired = set()
 
     for name in sorted(os.listdir(fixtures)):
         fixture = os.path.join(fixtures, name)
@@ -49,6 +57,7 @@ def main():
         with open(expect_path, "r", encoding="utf-8") as f:
             expected = f.read().strip()
         result = run_lint(lint, fixture)
+        fired.update(re.findall(r"^hev-lint: ([\w-]+): ", result.stdout, re.M))
         if result.returncode == 0:
             print("FAIL %s: planted violation not detected" % name)
             print(result.stdout)
@@ -61,6 +70,11 @@ def main():
             failures += 1
         else:
             print("ok   %s" % name)
+
+    for check, _ in hev_lint.CHECKS:
+        if check not in fired:
+            print("FAIL %s: no fixture plants a violation of it" % check)
+            failures += 1
 
     clean = run_lint(lint, repo, ("--require-all",))
     if clean.returncode != 0:

@@ -96,6 +96,7 @@ TEST(MigrateSmp, SnapshotStormRacesWorkersAndStaysCoherent)
     ASSERT_TRUE(enc);
 
     std::atomic<u32> active{workers};
+    std::atomic<bool> snapshotterDone{false};
     std::atomic<u32> failures{0};
 
     const auto worker = [&](VcpuId t) {
@@ -111,7 +112,11 @@ TEST(MigrateSmp, SnapshotStormRacesWorkersAndStaysCoherent)
             smp.serviceIpis(t);
         }
         active.fetch_sub(1);
-        while (active.load() != 0) {
+        // Keep acking until the snapshotter is done, not merely until
+        // every worker is: a snapshot that wins the final quiesce
+        // window still shoots down every other vCPU, and a vCPU whose
+        // thread has returned would never ack it.
+        while (!snapshotterDone.load()) {
             smp.serviceIpis(t);
             std::this_thread::yield();
         }
@@ -135,6 +140,7 @@ TEST(MigrateSmp, SnapshotStormRacesWorkersAndStaysCoherent)
             smp.serviceIpis(3);
             std::this_thread::yield();
         }
+        snapshotterDone.store(true);
     };
 
     std::vector<std::thread> pool;

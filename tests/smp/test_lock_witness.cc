@@ -135,7 +135,7 @@ TEST_F(LockWitnessTest, MonitorHypercallsSatisfyTheWitness)
     ASSERT_TRUE(id.ok());
     ASSERT_TRUE(smp.hcEnclaveEnter(0, *id).ok());
     ASSERT_TRUE(smp.hcEnclaveExit(0).ok());
-    ASSERT_TRUE(smp.hcEnclaveDestroy(0, *id).ok());
+    ASSERT_TRUE(smp.hcEnclaveRemove(0, *id).ok());
     EXPECT_EQ(LockWitness::heldCount(), 0u);
 }
 #endif

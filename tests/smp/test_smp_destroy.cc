@@ -1,6 +1,6 @@
 /**
  * @file
- * SMP destroy semantics: hcEnclaveDestroy must be rejected while *any*
+ * SMP destroy semantics: hcEnclaveRemove must be rejected while *any*
  * vCPU is executing inside the enclave — not merely the calling one —
  * and must retire the domain everywhere once it does run.
  */
@@ -25,7 +25,7 @@ TEST(SmpDestroy, RejectedWhileSiblingVcpuResident)
     // vCPU 1 is inside; vCPU 0 (in normal mode) must not be able to
     // rip the enclave out from under it.
     ASSERT_TRUE(smp.hcEnclaveEnter(1, handle->id));
-    const auto st = smp.hcEnclaveDestroy(0, handle->id);
+    const auto st = smp.hcEnclaveRemove(0, handle->id);
     ASSERT_FALSE(st);
     EXPECT_EQ(st.error(), HvError::BadEnclaveState);
     EXPECT_NE(smp.monitor().findEnclave(handle->id), nullptr);
@@ -37,7 +37,7 @@ TEST(SmpDestroy, RejectedWhileSiblingVcpuResident)
 
     // Once the sibling exits, destroy succeeds.
     ASSERT_TRUE(smp.hcEnclaveExit(1));
-    ASSERT_TRUE(smp.hcEnclaveDestroy(0, handle->id));
+    ASSERT_TRUE(smp.hcEnclaveRemove(0, handle->id));
     EXPECT_EQ(smp.monitor().findEnclave(handle->id), nullptr);
     EXPECT_EQ(smp.stats().destroys.load(), 1u);
     EXPECT_TRUE(checkSmpInvariants(smp).empty());
@@ -52,11 +52,11 @@ TEST(SmpDestroy, RejectedWhileCallerResident)
     ASSERT_TRUE(handle);
 
     ASSERT_TRUE(smp.hcEnclaveEnter(0, handle->id));
-    const auto st = smp.hcEnclaveDestroy(0, handle->id);
+    const auto st = smp.hcEnclaveRemove(0, handle->id);
     ASSERT_FALSE(st);
     EXPECT_EQ(st.error(), HvError::BadEnclaveState);
     ASSERT_TRUE(smp.hcEnclaveExit(0));
-    ASSERT_TRUE(smp.hcEnclaveDestroy(0, handle->id));
+    ASSERT_TRUE(smp.hcEnclaveRemove(0, handle->id));
 }
 
 TEST(SmpDestroy, RejectedWithAnyOfManyResidents)
@@ -68,11 +68,11 @@ TEST(SmpDestroy, RejectedWithAnyOfManyResidents)
 
     ASSERT_TRUE(smp.hcEnclaveEnter(1, *id));
     ASSERT_TRUE(smp.hcEnclaveEnter(2, *id));
-    EXPECT_FALSE(smp.hcEnclaveDestroy(0, *id));
+    EXPECT_FALSE(smp.hcEnclaveRemove(0, *id));
     ASSERT_TRUE(smp.hcEnclaveExit(1));
-    EXPECT_FALSE(smp.hcEnclaveDestroy(0, *id)); // vCPU 2 still inside
+    EXPECT_FALSE(smp.hcEnclaveRemove(0, *id)); // vCPU 2 still inside
     ASSERT_TRUE(smp.hcEnclaveExit(2));
-    ASSERT_TRUE(smp.hcEnclaveDestroy(0, *id));
+    ASSERT_TRUE(smp.hcEnclaveRemove(0, *id));
 }
 
 TEST(SmpDestroy, ShootsDownTheEnclaveDomainEverywhere)
@@ -84,7 +84,7 @@ TEST(SmpDestroy, ShootsDownTheEnclaveDomainEverywhere)
 
     const u64 epochBefore = smp.shootdownEpoch();
     const u64 shootdownsBefore = smp.stats().shootdowns.load();
-    ASSERT_TRUE(smp.hcEnclaveDestroy(0, handle->id));
+    ASSERT_TRUE(smp.hcEnclaveRemove(0, handle->id));
     EXPECT_EQ(smp.shootdownEpoch(), epochBefore + 1);
     EXPECT_EQ(smp.stats().shootdowns.load(), shootdownsBefore + 1);
     for (VcpuId v = 0; v < smp.vcpuCount(); ++v)
@@ -96,7 +96,7 @@ TEST(SmpDestroy, UnknownEnclaveRejected)
 {
     SmpMonitor smp(smallConfig(2));
     installServiceAllDriver(smp);
-    const auto st = smp.hcEnclaveDestroy(0, EnclaveId(42));
+    const auto st = smp.hcEnclaveRemove(0, EnclaveId(42));
     ASSERT_FALSE(st);
     EXPECT_EQ(st.error(), HvError::NoSuchEnclave);
 }
@@ -110,7 +110,7 @@ TEST(SmpDestroy, DropsPerVcpuEnclaveContexts)
     ASSERT_TRUE(smp.hcEnclaveEnter(0, first->id));
     smp.archOf(0).regs.gpr[5] = 0xdead;
     ASSERT_TRUE(smp.hcEnclaveExit(0));
-    ASSERT_TRUE(smp.hcEnclaveDestroy(1, first->id));
+    ASSERT_TRUE(smp.hcEnclaveRemove(1, first->id));
 
     // A new enclave reusing the VA range must start from a fresh
     // context even if it happens to reuse the id.

@@ -268,7 +268,7 @@ TEST(SmpThreads, ParallelEnclaveLifecyclesDontInterfere)
             const auto load = smp.memLoad(t, Gva(base));
             ok = ok && load && *load == 0x40 + t;
             ok = ok && bool(smp.hcEnclaveExit(t));
-            ok = ok && bool(smp.hcEnclaveDestroy(t, *id));
+            ok = ok && bool(smp.hcEnclaveRemove(t, *id));
             if (!ok)
                 failures.fetch_add(1);
             smp.serviceIpis(t);

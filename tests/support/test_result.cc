@@ -58,19 +58,18 @@ TEST(StatusTest, OkAndError)
 TEST(ErrorNameTest, AllNamesDistinctAndNonNull)
 {
     const HvError all[] = {
-        HvError::None, HvError::OutOfMemory, HvError::InvalidParam,
-        HvError::AlreadyMapped, HvError::NotMapped, HvError::NotAligned,
-        HvError::PermissionDenied, HvError::EpcmConflict,
-        HvError::OutOfEpc, HvError::BadEnclaveState,
-        HvError::NoSuchEnclave, HvError::IsolationViolation,
-        HvError::Unsupported,
+#define HEV_TEST_ERROR(name) HvError::name,
+        HEV_HV_ERRORS(HEV_TEST_ERROR)
+#undef HEV_TEST_ERROR
     };
     for (size_t i = 0; i < std::size(all); ++i) {
         ASSERT_NE(hvErrorName(all[i]), nullptr);
+        EXPECT_STRNE(hvErrorName(all[i]), "Unknown");
         for (size_t j = i + 1; j < std::size(all); ++j) {
             EXPECT_STRNE(hvErrorName(all[i]), hvErrorName(all[j]));
         }
     }
+    EXPECT_STREQ(hvErrorName(HvError::ImageTruncated), "ImageTruncated");
 }
 
 } // namespace

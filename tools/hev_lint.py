@@ -1,28 +1,27 @@
 #!/usr/bin/env python3
 """hev-lint: cross-layer parity and lock-discipline checker.
 
-The repo keeps several parallel structures that must not drift:
+The repo keeps parallel structures across modules that no compiler
+sees together, so they must not drift:
 
   spec-parity    every hcEnclaveXxx hypercall in src/hv/monitor.hh has a
                  matching specHcXxx in src/ccal/specs.hh (and vice
                  versa); Enter/Exit/Report are vCPU-local and have no
                  flat-spec counterpart by design.
-  trace-parity   every fuzz OpKind enumerator has a serializer name in
-                 src/fuzz/trace.cc, a mutator arm in src/fuzz/mutate.cc,
-                 and a dispatch case in both executors.
-  err-parity     every HvError variant has a name in hvErrorName
-                 (src/support/result.cc) and an explicit coarse class in
-                 classifyHv (src/fuzz/executor.cc) — no catch-all.
   lock-dag       the HEV_ACQUIRED_AFTER declarations in
                  src/smp/smp_monitor.hh form an acyclic graph consistent
                  with the LockRank order (src/smp/lock_witness.hh), and
                  no acquisition site in src/smp/*.cc constructs a guard
                  of lower-or-equal rank inside a live higher one.
 
-When python-libclang is installed the enum extraction runs on the real
-AST; otherwise a resilient regex fallback (comment/string-stripping plus
-brace tracking) parses the same facts.  Both paths emit identical
-violation lines:
+Fuzz-op and HvError parity are compile-time facts, not lint checks:
+each list is declared once as an X-macro (HEV_FUZZ_OPS in
+src/fuzz/trace.hh, HEV_HV_ERRORS in src/support/result.hh) that
+generates the enum and its name table, and the hev_fuzz library builds
+with -Werror=switch, so a dispatch switch missing a case fails to
+compile.
+
+Violations print as
 
     hev-lint: <check>: <file>: <message>
 
@@ -93,80 +92,6 @@ def strip_comments(text):
     return "".join(out)
 
 
-def snake_case(name):
-    """HcAddPage -> hc_add_page, QueryVa -> query_va."""
-    return re.sub(r"(?<!^)(?=[A-Z])", "_", name).lower()
-
-
-def try_libclang():
-    """Import python-libclang if the container has it; None otherwise."""
-    try:
-        from clang import cindex  # type: ignore
-
-        cindex.Index.create()
-        return cindex
-    except Exception:
-        return None
-
-
-def parse_enum_regex(text, enum_name):
-    """Enumerator names of `enum class <enum_name>` via the fallback."""
-    clean = strip_comments(text)
-    m = re.search(
-        r"enum\s+class\s+" + re.escape(enum_name) + r"\b[^{]*\{(.*?)\}",
-        clean,
-        re.S,
-    )
-    if not m:
-        return None
-    names = []
-    for entry in m.group(1).split(","):
-        entry = entry.strip()
-        if not entry:
-            continue
-        em = re.match(r"([A-Za-z_]\w*)", entry)
-        if em:
-            names.append(em.group(1))
-    return names
-
-
-def parse_enum_libclang(cindex, path, enum_name):
-    """Enumerator names from the real AST (header parsed standalone)."""
-    try:
-        tu = cindex.Index.create().parse(
-            path, args=["-std=c++20", "-fsyntax-only"]
-        )
-
-        def walk(node):
-            if (
-                node.kind == cindex.CursorKind.ENUM_DECL
-                and node.spelling == enum_name
-            ):
-                return [c.spelling for c in node.get_children()]
-            for child in node.get_children():
-                found = walk(child)
-                if found:
-                    return found
-            return None
-
-        return walk(tu.cursor)
-    except Exception:
-        return None
-
-
-def parse_enum(cindex, root, rel, enum_name):
-    text = read(root, rel)
-    if text is None:
-        return None
-    if cindex is not None:
-        names = parse_enum_libclang(
-            cindex, os.path.join(root, rel), enum_name
-        )
-        if names:
-            return names
-    return parse_enum_regex(text, enum_name)
-
-
 # --------------------------------------------------------------------------
 # Check 1: hypercall <-> spec parity
 # --------------------------------------------------------------------------
@@ -213,135 +138,7 @@ def check_spec_parity(root):
 
 
 # --------------------------------------------------------------------------
-# Check 2: fuzz OpKind parity (serializer / mutator / executors)
-# --------------------------------------------------------------------------
-
-
-def check_trace_parity(root, cindex):
-    violations = []
-    kinds = parse_enum(cindex, root, "src/fuzz/trace.hh", "OpKind")
-    if kinds is None:
-        return violations, False
-    ran = False
-
-    trace_cc = read(root, "src/fuzz/trace.cc")
-    if trace_cc is not None:
-        ran = True
-        m = re.search(
-            r"kindNames\s*\[[^\]]*\]\s*=\s*\{(.*?)\};",
-            trace_cc,
-            re.S,
-        )
-        names = re.findall(r'"([^"]*)"', m.group(1)) if m else []
-        if len(names) != len(kinds):
-            violations.append(
-                (
-                    "trace-parity",
-                    "src/fuzz/trace.cc",
-                    "kindNames has %d entries but OpKind has %d "
-                    "enumerators" % (len(names), len(kinds)),
-                )
-            )
-        for i, kind in enumerate(kinds):
-            want = snake_case(kind)
-            if i >= len(names):
-                violations.append(
-                    (
-                        "trace-parity",
-                        "src/fuzz/trace.cc",
-                        "OpKind::%s has no serializer name (expected "
-                        '"%s" at kindNames[%d])' % (kind, want, i),
-                    )
-                )
-            elif names[i] != want:
-                violations.append(
-                    (
-                        "trace-parity",
-                        "src/fuzz/trace.cc",
-                        'kindNames[%d] is "%s" but OpKind::%s '
-                        'serializes as "%s"' % (i, names[i], kind, want),
-                    )
-                )
-
-    mutate_cc = read(root, "src/fuzz/mutate.cc")
-    if mutate_cc is not None:
-        ran = True
-        refs = set(
-            re.findall(
-                r"\b(?:K|OpKind)::(\w+)", strip_comments(mutate_cc)
-            )
-        )
-        for kind in kinds:
-            if kind not in refs:
-                violations.append(
-                    (
-                        "trace-parity",
-                        "src/fuzz/mutate.cc",
-                        "OpKind::%s has no mutator arm (the mutator can "
-                        "neither generate nor perturb it)" % kind,
-                    )
-                )
-
-    for rel in ("src/fuzz/executor.cc", "src/fuzz/smp_executor.cc"):
-        exec_cc = read(root, rel)
-        if exec_cc is None:
-            continue
-        ran = True
-        cases = set(
-            re.findall(r"\bcase\s+OpKind::(\w+)", strip_comments(exec_cc))
-        )
-        for kind in kinds:
-            if kind not in cases:
-                violations.append(
-                    (
-                        "trace-parity",
-                        rel,
-                        "OpKind::%s has no dispatch case" % kind,
-                    )
-                )
-    return violations, ran
-
-
-# --------------------------------------------------------------------------
-# Check 3: HvError <-> name / coarse-class parity
-# --------------------------------------------------------------------------
-
-
-def check_err_parity(root, cindex):
-    violations = []
-    errs = parse_enum(cindex, root, "src/support/result.hh", "HvError")
-    if errs is None:
-        return violations, False
-    ran = False
-    for rel, what in (
-        ("src/support/result.cc", "hvErrorName"),
-        ("src/fuzz/executor.cc", "classifyHv"),
-    ):
-        text = read(root, rel)
-        if text is None:
-            continue
-        ran = True
-        clean = strip_comments(text)
-        m = re.search(
-            re.escape(what) + r"\s*\([^)]*\)\s*\{(.*?)\n\}", clean, re.S
-        )
-        body = m.group(1) if m else clean
-        cases = set(re.findall(r"\bcase\s+HvError::(\w+)", body))
-        for err in errs:
-            if err not in cases:
-                violations.append(
-                    (
-                        "err-parity",
-                        rel,
-                        "HvError::%s has no explicit case in %s "
-                        "(catch-alls hide new variants)" % (err, what),
-                    )
-                )
-    return violations, ran
-
-
-# --------------------------------------------------------------------------
-# Check 4: lock-order DAG and acquisition sites
+# Check 2: lock-order DAG and acquisition sites
 # --------------------------------------------------------------------------
 
 
@@ -584,10 +381,8 @@ def check_acquisition_sites(root, ranks):
 # --------------------------------------------------------------------------
 
 CHECKS = (
-    ("spec-parity", lambda root, cindex: check_spec_parity(root)),
-    ("trace-parity", check_trace_parity),
-    ("err-parity", check_err_parity),
-    ("lock-dag", lambda root, cindex: check_lock_dag(root)),
+    ("spec-parity", check_spec_parity),
+    ("lock-dag", check_lock_dag),
 )
 
 
@@ -616,14 +411,9 @@ def main(argv):
               file=sys.stderr)
         return 2
 
-    cindex = try_libclang()
-    if args.verbose:
-        mode = "libclang" if cindex else "regex fallback"
-        print("hev-lint: parsing with %s" % mode)
-
     total = 0
     for name, fn in CHECKS:
-        violations, ran = fn(args.root, cindex)
+        violations, ran = fn(args.root)
         if not ran:
             if args.require_all:
                 print(

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Run every static check the environment supports:
 #
-#   1. tools/hev_lint.py      — cross-layer parity + lock DAG (always;
+#   1. tools/hev_lint.py      — hypercall/spec parity + lock DAG (always;
 #                               pure python3).
 #   2. clang-tidy             — .clang-tidy profile over src/, if a
 #                               compile database and clang-tidy exist.
@@ -25,7 +25,7 @@ failed=0
 say() { printf '%s\n' "$*"; }
 
 # ---- 1. cross-layer parity (portable floor) -------------------------------
-say "== hev-lint (cross-layer parity, lock DAG) =="
+say "== hev-lint (hypercall/spec parity, lock DAG) =="
 if python3 "$repo/tools/hev_lint.py" --root "$repo" --require-all; then
     say "hev-lint: OK"
 else
