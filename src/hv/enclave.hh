@@ -20,12 +20,15 @@
 namespace hev::hv
 {
 
-/** Lifecycle of an enclave, mirroring ECREATE/EADD/EINIT/remove. */
+/**
+ * Lifecycle of a live enclave, mirroring ECREATE/EADD/EINIT.  Remove
+ * erases the record rather than marking it; the spec's enclStateDead
+ * corresponds to an id that is no longer in the monitor's table.
+ */
 enum class EnclaveState : u8
 {
     Adding,       //!< created; EADD (add_page) permitted
     Initialized,  //!< EINIT done; enterable, no further adds
-    Dead,         //!< removed; id retired
 };
 
 /** Name of an EnclaveState, for diagnostics. */

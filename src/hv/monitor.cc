@@ -206,7 +206,6 @@ enclaveStateName(EnclaveState state)
     switch (state) {
       case EnclaveState::Adding: return "Adding";
       case EnclaveState::Initialized: return "Initialized";
-      case EnclaveState::Dead: return "Dead";
     }
     return "Unknown";
 }
@@ -249,39 +248,52 @@ const Enclave *
 Monitor::findEnclave(EnclaveId id) const
 {
     auto it = enclaves.find(id);
-    if (it == enclaves.end() || it->second.state == EnclaveState::Dead)
-        return nullptr;
-    return &it->second;
+    return it == enclaves.end() ? nullptr : &it->second;
 }
 
 Enclave *
 Monitor::findEnclaveMutable(EnclaveId id)
 {
     auto it = enclaves.find(id);
-    if (it == enclaves.end() || it->second.state == EnclaveState::Dead)
-        return nullptr;
-    return &it->second;
+    return it == enclaves.end() ? nullptr : &it->second;
 }
 
 u64
 Monitor::liveEnclaves() const
 {
-    u64 count = 0;
-    for (const auto &[id, enc] : enclaves) {
-        if (enc.state != EnclaveState::Dead)
-            ++count;
-    }
-    return count;
+    return enclaves.size();
 }
 
 void
 Monitor::forEachEnclave(
     const std::function<void(const Enclave &)> &visit) const
 {
-    for (const auto &[id, enc] : enclaves) {
-        if (enc.state != EnclaveState::Dead)
-            visit(enc);
+    for (const auto &[id, enc] : enclaves)
+        visit(enc);
+}
+
+std::size_t
+Monitor::teardownEnclave(const Enclave &enclave)
+{
+    const EnclaveId id = enclave.id;
+    std::vector<Hpa> owned;
+    epcMap.forEachUsed([&](Hpa page, const EpcmEntry &entry) {
+        if (entry.owner == id)
+            owned.push_back(page);
+    });
+    for (Hpa page : owned) {
+        scrubPage(page);
+        (void)epcMap.freePage(page);
     }
+
+    PageTable gpt(physMem, &frameAlloc, enclave.gptRoot);
+    PageTable ept(physMem, &frameAlloc, enclave.eptRoot);
+    (void)gpt.destroy();
+    (void)ept.destroy();
+
+    enclaves.erase(id);
+    statLiveEnclaves.set(i64(enclaves.size()));
+    return owned.size();
 }
 
 Expected<EnclaveId>
@@ -378,7 +390,7 @@ Monitor::hcEnclaveInit(const EnclaveConfig &config)
     ++nextEnclaveId;
     ++statCounters.enclavesCreated;
     statEnclavesCreated.inc();
-    statLiveEnclaves.set(i64(liveEnclaves()));
+    statLiveEnclaves.set(i64(enclaves.size()));
     inform("created (elrange [%#llx, %#llx))",
            (unsigned long long)config.elrange.start.value,
            (unsigned long long)config.elrange.end.value);
@@ -391,20 +403,19 @@ Monitor::hcEnclaveAddPage(EnclaveId id, Gva page_gva, Gpa src,
 {
     HypercallScope scope(statCounters, "hc_enclave_add_page", id);
     FrameSource &tableFrames = frames ? *frames : frameAlloc;
-    auto it = enclaves.find(id);
-    if (it == enclaves.end() || it->second.state == EnclaveState::Dead)
+    Enclave *enclave = findEnclaveMutable(id);
+    if (!enclave)
         return scope.fail(HvError::NoSuchEnclave);
-    Enclave &enclave = it->second;
-    if (enclave.state != EnclaveState::Adding)
+    if (enclave->state != EnclaveState::Adding)
         return scope.fail(HvError::BadEnclaveState);
     if (!page_gva.pageAligned() || src.value % pageSize != 0)
         return scope.fail(HvError::NotAligned);
     // Enclave invariant: EPC pages appear exactly at ELRANGE addresses.
     const bool gva_in_elrange =
         cfg.planted.elrangeOffByOne
-            ? page_gva.value >= enclave.cfg.elrange.start.value &&
-                  page_gva.value <= enclave.cfg.elrange.end.value
-            : enclave.cfg.elrange.contains(page_gva);
+            ? page_gva.value >= enclave->cfg.elrange.start.value &&
+                  page_gva.value <= enclave->cfg.elrange.end.value
+            : enclave->cfg.elrange.contains(page_gva);
     if (!gva_in_elrange)
         return scope.fail(HvError::IsolationViolation);
     const HpaRange src_range = {Hpa(src.value),
@@ -412,10 +423,10 @@ Monitor::hcEnclaveAddPage(EnclaveId id, Gva page_gva, Gpa src,
     if (!cfg.layout.normalRange().containsRange(src_range))
         return scope.fail(HvError::IsolationViolation);
 
-    PageTable gpt(physMem, &tableFrames, enclave.gptRoot);
-    PageTable ept(physMem, &tableFrames, enclave.eptRoot);
+    PageTable gpt(physMem, &tableFrames, enclave->gptRoot);
+    PageTable ept(physMem, &tableFrames, enclave->eptRoot);
 
-    const u64 gpa = enclaveEpcGpaBase + enclave.addedPages * pageSize;
+    const u64 gpa = enclaveEpcGpaBase + enclave->addedPages * pageSize;
     if (auto st = gpt.map(page_gva.value, gpa, PteFlags::userRw()); !st)
         return scope.fail(st.error());
 
@@ -439,20 +450,20 @@ Monitor::hcEnclaveAddPage(EnclaveId id, Gva page_gva, Gpa src,
     // Copy the initial contents out of normal memory and fold them into
     // the measurement.
     physMem.copyPage(*epc_page, Hpa(src.value));
-    enclave.measurement = measurePage(enclave.measurement,
+    enclave->measurement = measurePage(enclave->measurement,
                                       page_gva.value,
                                       physMem.pageWords(*epc_page));
 
     if (kind == AddPageKind::Tcs) {
-        if (enclave.tcsPages == 0)
-            enclave.entryPoint = physMem.read(*epc_page);
-        ++enclave.tcsPages;
+        if (enclave->tcsPages == 0)
+            enclave->entryPoint = physMem.read(*epc_page);
+        ++enclave->tcsPages;
     }
     if (cfg.planted.frameDoubleFree) {
         // Planted bug: hand the leaf GPT table frame back to the
         // allocator while the tree still points at it.  The next table
         // allocation zeroes it in place under the live mapping.
-        Hpa table = enclave.gptRoot;
+        Hpa table = enclave->gptRoot;
         for (int level = pagingLevels; level >= 2; --level) {
             const Pte entry = gpt.entryAt(table, page_gva.tableIndex(level));
             if (!entry.present() || entry.huge())
@@ -463,7 +474,7 @@ Monitor::hcEnclaveAddPage(EnclaveId id, Gva page_gva, Gpa src,
         }
     }
 
-    ++enclave.addedPages;
+    ++enclave->addedPages;
     ++statCounters.pagesAdded;
     statPagesAdded.inc();
     return okStatus();
@@ -478,24 +489,23 @@ Monitor::hcEnclaveAddPagesBatch(EnclaveId id,
     if (reqs.empty())
         return okStatus(); // fold over nothing is the identity
     FrameSource &tableFrames = frames ? *frames : frameAlloc;
-    auto it = enclaves.find(id);
-    if (it == enclaves.end() || it->second.state == EnclaveState::Dead)
+    Enclave *enclave = findEnclaveMutable(id);
+    if (!enclave)
         return scope.fail(HvError::NoSuchEnclave);
-    Enclave &enclave = it->second;
     // add_page never changes the lifecycle state, so checking it once
     // is the same check the fold would repeat per element.
-    if (enclave.state != EnclaveState::Adding)
+    if (enclave->state != EnclaveState::Adding)
         return scope.fail(HvError::BadEnclaveState);
 
-    PageTable gpt(physMem, &tableFrames, enclave.gptRoot);
-    PageTable ept(physMem, &tableFrames, enclave.eptRoot);
+    PageTable gpt(physMem, &tableFrames, enclave->gptRoot);
+    PageTable ept(physMem, &tableFrames, enclave->eptRoot);
 
     // Snapshot of everything an element mutates besides the tables,
     // EPCM and page contents, for the all-or-nothing rollback.
-    const u64 saved_measurement = enclave.measurement;
-    const u64 saved_added = enclave.addedPages;
-    const u64 saved_tcs = enclave.tcsPages;
-    const u64 saved_entry = enclave.entryPoint;
+    const u64 saved_measurement = enclave->measurement;
+    const u64 saved_added = enclave->addedPages;
+    const u64 saved_tcs = enclave->tcsPages;
+    const u64 saved_entry = enclave->entryPoint;
 
     struct Applied
     {
@@ -526,9 +536,9 @@ Monitor::hcEnclaveAddPagesBatch(EnclaveId id,
         }
         const bool gva_in_elrange =
             cfg.planted.elrangeOffByOne
-                ? req.gva.value >= enclave.cfg.elrange.start.value &&
-                      req.gva.value <= enclave.cfg.elrange.end.value
-                : enclave.cfg.elrange.contains(req.gva);
+                ? req.gva.value >= enclave->cfg.elrange.start.value &&
+                      req.gva.value <= enclave->cfg.elrange.end.value
+                : enclave->cfg.elrange.contains(req.gva);
         if (!gva_in_elrange) {
             batch_error = HvError::IsolationViolation;
             break;
@@ -540,7 +550,7 @@ Monitor::hcEnclaveAddPagesBatch(EnclaveId id,
             break;
         }
 
-        const u64 gpa = enclaveEpcGpaBase + enclave.addedPages * pageSize;
+        const u64 gpa = enclaveEpcGpaBase + enclave->addedPages * pageSize;
         if (auto st = gpt.map(req.gva.value, gpa, PteFlags::userRw(),
                               gpt_cursor); !st) {
             batch_error = st.error();
@@ -569,16 +579,16 @@ Monitor::hcEnclaveAddPagesBatch(EnclaveId id,
         const u64 *src_words = physMem.pageWords(Hpa(req.src.value));
         u64 *dst_words = physMem.pageWordsMut(*epc_page);
         std::memcpy(dst_words, src_words, pageSize);
-        enclave.measurement = measurePage(enclave.measurement,
+        enclave->measurement = measurePage(enclave->measurement,
                                           req.gva.value, dst_words);
 
         if (req.kind == AddPageKind::Tcs) {
-            if (enclave.tcsPages == 0)
-                enclave.entryPoint = dst_words[0];
-            ++enclave.tcsPages;
+            if (enclave->tcsPages == 0)
+                enclave->entryPoint = dst_words[0];
+            ++enclave->tcsPages;
         }
         if (cfg.planted.frameDoubleFree) {
-            Hpa table = enclave.gptRoot;
+            Hpa table = enclave->gptRoot;
             for (int level = pagingLevels; level >= 2; --level) {
                 const Pte entry =
                     gpt.entryAt(table, req.gva.tableIndex(level));
@@ -589,7 +599,7 @@ Monitor::hcEnclaveAddPagesBatch(EnclaveId id,
                     frameAlloc.debugForceFree(table);
             }
         }
-        ++enclave.addedPages;
+        ++enclave->addedPages;
         applied.push_back({req.gva.value, gpa, *epc_page});
     }
 
@@ -610,10 +620,10 @@ Monitor::hcEnclaveAddPagesBatch(EnclaveId id,
         scrubPage(rit->epcPage);
         (void)epcMap.freePage(rit->epcPage);
     }
-    enclave.measurement = saved_measurement;
-    enclave.addedPages = saved_added;
-    enclave.tcsPages = saved_tcs;
-    enclave.entryPoint = saved_entry;
+    enclave->measurement = saved_measurement;
+    enclave->addedPages = saved_added;
+    enclave->tcsPages = saved_tcs;
+    enclave->entryPoint = saved_entry;
     return scope.fail(batch_error);
 }
 
@@ -621,19 +631,18 @@ Status
 Monitor::hcEnclaveInitFinish(EnclaveId id)
 {
     HypercallScope scope(statCounters, "hc_enclave_init_finish", id);
-    auto it = enclaves.find(id);
-    if (it == enclaves.end() || it->second.state == EnclaveState::Dead)
+    Enclave *enclave = findEnclaveMutable(id);
+    if (!enclave)
         return scope.fail(HvError::NoSuchEnclave);
-    Enclave &enclave = it->second;
-    if (enclave.state != EnclaveState::Adding)
+    if (enclave->state != EnclaveState::Adding)
         return scope.fail(HvError::BadEnclaveState);
-    if (enclave.tcsPages == 0)
+    if (enclave->tcsPages == 0)
         return scope.fail(HvError::InvalidParam);
-    enclave.measurement = measureStep(enclave.measurement, 0xE1417ull);
-    enclave.state = EnclaveState::Initialized;
+    enclave->measurement = measureStep(enclave->measurement, 0xE1417ull);
+    enclave->state = EnclaveState::Initialized;
     inform("initialized (%llu pages, %llu tcs)",
-           (unsigned long long)enclave.addedPages,
-           (unsigned long long)enclave.tcsPages);
+           (unsigned long long)enclave->addedPages,
+           (unsigned long long)enclave->tcsPages);
     return okStatus();
 }
 
@@ -643,36 +652,35 @@ Monitor::hcEnclaveEnter(EnclaveId id, VCpu &vcpu)
     HypercallScope scope(statCounters, "hc_enclave_enter", id);
     if (vcpu.mode != CpuMode::GuestNormal)
         return scope.fail(HvError::BadEnclaveState);
-    auto it = enclaves.find(id);
-    if (it == enclaves.end() || it->second.state == EnclaveState::Dead)
+    Enclave *enclave = findEnclaveMutable(id);
+    if (!enclave)
         return scope.fail(HvError::NoSuchEnclave);
-    Enclave &enclave = it->second;
-    if (enclave.state != EnclaveState::Initialized)
+    if (enclave->state != EnclaveState::Initialized)
         return scope.fail(HvError::BadEnclaveState);
     // The saved contexts live in the Enclave record, so the single-vCPU
     // monitor admits one resident vCPU at a time; a second entry would
     // clobber them.  (The SMP monitor saves contexts per vCPU and
     // admits up to tcsPages — see src/smp/smp_monitor.cc.)
-    if (enclave.activeVcpus > 0)
+    if (enclave->activeVcpus > 0)
         return scope.fail(HvError::BadEnclaveState);
-    ++enclave.activeVcpus;
+    ++enclave->activeVcpus;
 
-    enclave.savedAppRegs = vcpu.regs;
-    enclave.savedAppGptRoot = vcpu.gptRoot;
+    enclave->savedAppRegs = vcpu.regs;
+    enclave->savedAppGptRoot = vcpu.gptRoot;
 
-    if (enclave.hasSavedEnclaveRegs) {
-        vcpu.regs = enclave.savedEnclaveRegs;
+    if (enclave->hasSavedEnclaveRegs) {
+        vcpu.regs = enclave->savedEnclaveRegs;
     } else {
         // First entry: scrub the register file so nothing leaks in, and
         // start at the TCS entry point.
         vcpu.regs = RegFile{};
-        vcpu.regs.rip = enclave.entryPoint;
+        vcpu.regs.rip = enclave->entryPoint;
     }
     vcpu.mode = CpuMode::GuestEnclave;
     vcpu.currentEnclave = id;
     vcpu.domain = id;
-    vcpu.gptRoot = enclave.gptRoot;
-    vcpu.eptRoot = enclave.eptRoot;
+    vcpu.gptRoot = enclave->gptRoot;
+    vcpu.eptRoot = enclave->eptRoot;
     tlbModel.flushDomain(id);
     ++statCounters.enters;
     statEnters.inc();
@@ -686,25 +694,24 @@ Monitor::hcEnclaveExit(VCpu &vcpu)
                          vcpu.currentEnclave);
     if (vcpu.mode != CpuMode::GuestEnclave)
         return scope.fail(HvError::BadEnclaveState);
-    auto it = enclaves.find(vcpu.currentEnclave);
-    if (it == enclaves.end())
+    Enclave *enclave = findEnclaveMutable(vcpu.currentEnclave);
+    if (!enclave)
         panic("vCPU inside unknown enclave %u", vcpu.currentEnclave);
-    Enclave &enclave = it->second;
 
-    enclave.savedEnclaveRegs = vcpu.regs;
-    enclave.hasSavedEnclaveRegs = true;
-    if (enclave.activeVcpus > 0)
-        --enclave.activeVcpus;
+    enclave->savedEnclaveRegs = vcpu.regs;
+    enclave->hasSavedEnclaveRegs = true;
+    if (enclave->activeVcpus > 0)
+        --enclave->activeVcpus;
 
     // Restore the application context; scrub what the enclave left in
     // the register file by overwriting all of it.
-    vcpu.regs = enclave.savedAppRegs;
+    vcpu.regs = enclave->savedAppRegs;
     vcpu.mode = CpuMode::GuestNormal;
     vcpu.currentEnclave = invalidEnclave;
     vcpu.domain = normalVmDomain;
-    vcpu.gptRoot = enclave.savedAppGptRoot;
+    vcpu.gptRoot = enclave->savedAppGptRoot;
     vcpu.eptRoot = normalEpt->root();
-    tlbModel.flushDomain(enclave.id);
+    tlbModel.flushDomain(enclave->id);
     ++statCounters.exits;
     statExits.inc();
     return okStatus();
@@ -714,35 +721,17 @@ Status
 Monitor::hcEnclaveRemove(EnclaveId id)
 {
     HypercallScope scope(statCounters, "hc_enclave_remove", id);
-    auto it = enclaves.find(id);
-    if (it == enclaves.end() || it->second.state == EnclaveState::Dead)
+    Enclave *enclave = findEnclaveMutable(id);
+    if (!enclave)
         return scope.fail(HvError::NoSuchEnclave);
-    Enclave &enclave = it->second;
     // Tearing down an enclave a vCPU is executing in would scrub the
     // pages under its feet: reject until every resident vCPU exits.
-    if (enclave.activeVcpus > 0)
+    if (enclave->activeVcpus > 0)
         return scope.fail(HvError::BadEnclaveState);
 
-    // Scrub and free every EPC page the enclave owns.
-    std::vector<Hpa> owned;
-    epcMap.forEachUsed([&](Hpa page, const EpcmEntry &entry) {
-        if (entry.owner == id)
-            owned.push_back(page);
-    });
-    for (Hpa page : owned) {
-        scrubPage(page);
-        (void)epcMap.freePage(page);
-    }
-
-    PageTable gpt(physMem, &frameAlloc, enclave.gptRoot);
-    PageTable ept(physMem, &frameAlloc, enclave.eptRoot);
-    (void)gpt.destroy();
-    (void)ept.destroy();
-
+    const std::size_t scrubbed = teardownEnclave(*enclave);
     tlbModel.flushDomain(id);
-    enclave.state = EnclaveState::Dead;
-    statLiveEnclaves.set(i64(liveEnclaves()));
-    inform("removed (%zu epc pages scrubbed)", owned.size());
+    inform("removed (%zu epc pages scrubbed)", scrubbed);
     return okStatus();
 }
 
@@ -768,23 +757,22 @@ Expected<SealedBlob>
 Monitor::hcEnclaveEvictPage(EnclaveId id, Gva page_gva)
 {
     HypercallScope scope(statCounters, "hc_enclave_evict_page", id);
-    auto it = enclaves.find(id);
-    if (it == enclaves.end() || it->second.state == EnclaveState::Dead)
+    Enclave *enclave = findEnclaveMutable(id);
+    if (!enclave)
         return scope.fail(HvError::NoSuchEnclave);
-    Enclave &enclave = it->second;
     // Paging is a post-launch activity: while the enclave is still
     // Adding, the OS controls residency through add_page itself.
-    if (enclave.state != EnclaveState::Initialized)
+    if (enclave->state != EnclaveState::Initialized)
         return scope.fail(HvError::BadEnclaveState);
     if (!page_gva.pageAligned())
         return scope.fail(HvError::NotAligned);
     // Only ELRANGE pages are pageable; the marshalling buffer mapping
     // is fixed for the enclave's entire life cycle.
-    if (!enclave.cfg.elrange.contains(page_gva))
+    if (!enclave->cfg.elrange.contains(page_gva))
         return scope.fail(HvError::IsolationViolation);
 
-    PageTable gpt(physMem, &frameAlloc, enclave.gptRoot);
-    PageTable ept(physMem, &frameAlloc, enclave.eptRoot);
+    PageTable gpt(physMem, &frameAlloc, enclave->gptRoot);
+    PageTable ept(physMem, &frameAlloc, enclave->eptRoot);
     auto stage1 = gpt.query(page_gva.value);
     if (!stage1)
         return scope.fail(HvError::NotMapped);
@@ -803,7 +791,7 @@ Monitor::hcEnclaveEvictPage(EnclaveId id, Gva page_gva)
     blob.kind = entry.state == EpcPageState::Tcs ? AddPageKind::Tcs
                                                  : AddPageKind::Reg;
     blob.gpaSlot = Gpa(gpa_slot);
-    blob.version = enclave.nextSealVersion++;
+    blob.version = enclave->nextSealVersion++;
     for (u64 off = 0; off < pageSize; off += sizeof(u64))
         blob.words[off / sizeof(u64)] = physMem.read(epc_page + off);
     blob.mac = sealMac(blob);
@@ -816,7 +804,7 @@ Monitor::hcEnclaveEvictPage(EnclaveId id, Gva page_gva)
     // must die with the mapping or a stale hit reads the scrubbed (or
     // later re-allocated) frame.
     tlbModel.flushDomain(id);
-    enclave.evictedPages[page_gva.value] = blob.version;
+    enclave->evictedPages[page_gva.value] = blob.version;
     ++statCounters.pagesEvicted;
     statPagesEvicted.inc();
     return blob;
@@ -829,17 +817,16 @@ Monitor::hcEnclaveEvictPagesBatch(EnclaveId id,
     HypercallScope scope(statCounters, "hc_enclave_evict_pages_batch", id);
     if (gvas.empty())
         return std::vector<SealedBlob>{};
-    auto it = enclaves.find(id);
-    if (it == enclaves.end() || it->second.state == EnclaveState::Dead)
+    Enclave *enclave = findEnclaveMutable(id);
+    if (!enclave)
         return scope.fail(HvError::NoSuchEnclave);
-    Enclave &enclave = it->second;
-    if (enclave.state != EnclaveState::Initialized)
+    if (enclave->state != EnclaveState::Initialized)
         return scope.fail(HvError::BadEnclaveState);
 
-    PageTable gpt(physMem, &frameAlloc, enclave.gptRoot);
-    PageTable ept(physMem, &frameAlloc, enclave.eptRoot);
+    PageTable gpt(physMem, &frameAlloc, enclave->gptRoot);
+    PageTable ept(physMem, &frameAlloc, enclave->eptRoot);
     PageTable::LeafCursor gpt_cursor, ept_cursor;
-    const u64 saved_seal_version = enclave.nextSealVersion;
+    const u64 saved_seal_version = enclave->nextSealVersion;
 
     /** Everything needed to put one sealed page back on rollback. */
     struct Applied
@@ -864,7 +851,7 @@ Monitor::hcEnclaveEvictPagesBatch(EnclaveId id,
             batch_error = HvError::NotAligned;
             break;
         }
-        if (!enclave.cfg.elrange.contains(page_gva)) {
+        if (!enclave->cfg.elrange.contains(page_gva)) {
             batch_error = HvError::IsolationViolation;
             break;
         }
@@ -892,7 +879,7 @@ Monitor::hcEnclaveEvictPagesBatch(EnclaveId id,
         blob.kind = entry.state == EpcPageState::Tcs ? AddPageKind::Tcs
                                                      : AddPageKind::Reg;
         blob.gpaSlot = Gpa(gpa_slot);
-        blob.version = enclave.nextSealVersion++;
+        blob.version = enclave->nextSealVersion++;
         const u64 *page_words = physMem.pageWords(epc_page);
         std::memcpy(blob.words.data(), page_words, pageSize);
         blob.mac = sealMac(blob);
@@ -901,7 +888,7 @@ Monitor::hcEnclaveEvictPagesBatch(EnclaveId id,
         (void)ept.unmap(gpa_slot, ept_cursor);
         scrubPage(epc_page);
         (void)epcMap.freePage(epc_page);
-        enclave.evictedPages[page_gva.value] = blob.version;
+        enclave->evictedPages[page_gva.value] = blob.version;
 
         applied.push_back({page_gva.value, gpa_slot, epc_page,
                            stage1->flags, stage2->flags, entry.state,
@@ -940,9 +927,9 @@ Monitor::hcEnclaveEvictPagesBatch(EnclaveId id,
         u64 *dst_words = physMem.pageWordsMut(rit->epcPage);
         std::memcpy(dst_words, blobs[rit->blobIndex].words.data(),
                     pageSize);
-        enclave.evictedPages.erase(rit->gva);
+        enclave->evictedPages.erase(rit->gva);
     }
-    enclave.nextSealVersion = saved_seal_version;
+    enclave->nextSealVersion = saved_seal_version;
     return scope.fail(batch_error);
 }
 
@@ -952,25 +939,24 @@ Monitor::hcEnclaveReloadPage(EnclaveId id, const SealedBlob &blob,
 {
     HypercallScope scope(statCounters, "hc_enclave_reload_page", id);
     FrameSource &tableFrames = frames ? *frames : frameAlloc;
-    auto it = enclaves.find(id);
-    if (it == enclaves.end() || it->second.state == EnclaveState::Dead)
+    Enclave *enclave = findEnclaveMutable(id);
+    if (!enclave)
         return scope.fail(HvError::NoSuchEnclave);
-    Enclave &enclave = it->second;
-    if (enclave.state != EnclaveState::Initialized)
+    if (enclave->state != EnclaveState::Initialized)
         return scope.fail(HvError::BadEnclaveState);
     // Authenticity first: a tampered blob and a genuine blob presented
     // to the wrong enclave (cross-enclave replay) are rejected
     // identically, before any state is inspected.
     if (blob.mac != sealMac(blob) || blob.owner != id)
         return scope.fail(HvError::SealAuthFailed);
-    const auto rec = enclave.evictedPages.find(blob.gva.value);
-    if (rec == enclave.evictedPages.end())
+    const auto rec = enclave->evictedPages.find(blob.gva.value);
+    if (rec == enclave->evictedPages.end())
         return scope.fail(HvError::NotMapped);
     if (!cfg.planted.acceptSealRollback && blob.version != rec->second)
         return scope.fail(HvError::SealRollback);
 
-    PageTable gpt(physMem, &tableFrames, enclave.gptRoot);
-    PageTable ept(physMem, &tableFrames, enclave.eptRoot);
+    PageTable gpt(physMem, &tableFrames, enclave->gptRoot);
+    PageTable ept(physMem, &tableFrames, enclave->eptRoot);
 
     // Mirror add_page's map/alloc/map order exactly so the abstract
     // machine's allocator state stays index-aligned with ours.
@@ -994,7 +980,7 @@ Monitor::hcEnclaveReloadPage(EnclaveId id, const SealedBlob &blob,
 
     for (u64 off = 0; off < pageSize; off += sizeof(u64))
         physMem.write(*epc_page + off, blob.words[off / sizeof(u64)]);
-    enclave.evictedPages.erase(rec);
+    enclave->evictedPages.erase(rec);
     ++statCounters.pagesReloaded;
     statPagesReloaded.inc();
     return okStatus();
@@ -1004,25 +990,24 @@ Expected<EnclaveImage>
 Monitor::hcEnclaveSnapshot(EnclaveId id, SnapshotMode mode)
 {
     HypercallScope scope(statCounters, "hc_enclave_snapshot", id);
-    auto it = enclaves.find(id);
-    if (it == enclaves.end() || it->second.state == EnclaveState::Dead)
+    Enclave *enclave = findEnclaveMutable(id);
+    if (!enclave)
         return scope.fail(HvError::NoSuchEnclave);
-    Enclave &enclave = it->second;
     // Snapshotting a half-built or resident enclave would capture a
     // state no restore could reconstruct: the measurement fold is
     // incomplete while Adding, and a resident vCPU keeps register and
     // TLB state outside the image.  Quiesce first.
-    if (enclave.state != EnclaveState::Initialized)
+    if (enclave->state != EnclaveState::Initialized)
         return scope.fail(HvError::BadEnclaveState);
-    if (enclave.activeVcpus > 0)
+    if (enclave->activeVcpus > 0)
         return scope.fail(HvError::BadEnclaveState);
     // Evicted pages live in OS-held blobs the monitor cannot summon;
     // the OS must reload them (it has the blobs) before snapshotting.
-    if (!enclave.evictedPages.empty())
+    if (!enclave->evictedPages.empty())
         return scope.fail(HvError::BadEnclaveState);
 
-    PageTable gpt(physMem, &frameAlloc, enclave.gptRoot);
-    PageTable ept(physMem, &frameAlloc, enclave.eptRoot);
+    PageTable gpt(physMem, &frameAlloc, enclave->gptRoot);
+    PageTable ept(physMem, &frameAlloc, enclave->eptRoot);
 
     // Enumerate resident ELRANGE pages in ascending gva order (the
     // walk visits indices in order).  The marshalling buffer mapping is
@@ -1036,25 +1021,25 @@ Monitor::hcEnclaveSnapshot(EnclaveId id, SnapshotMode mode)
     gpt.forEachMapping([&](u64 va, Pte entry, int level) {
         if (level != 1)
             return;
-        if (!enclave.cfg.elrange.contains(Gva(va)))
+        if (!enclave->cfg.elrange.contains(Gva(va)))
             return;
         resident.push_back({va, entry.addr() & ~(pageSize - 1)});
     });
-    if (resident.size() != enclave.addedPages)
+    if (resident.size() != enclave->addedPages)
         return scope.fail(HvError::BadEnclaveState);
 
     EnclaveImage image;
     image.sourceId = id;
-    image.cfg = enclave.cfg;
-    image.measurement = enclave.measurement;
-    image.addedPages = enclave.addedPages;
-    image.tcsPages = enclave.tcsPages;
-    image.entryPoint = enclave.entryPoint;
+    image.cfg = enclave->cfg;
+    image.measurement = enclave->measurement;
+    image.addedPages = enclave->addedPages;
+    image.tcsPages = enclave->tcsPages;
+    image.entryPoint = enclave->entryPoint;
     // The image consumes the version vector exactly as an evict-all
     // fold would: page i seals at versionBase + i and the counter
     // advances past the whole run.  This is what makes the executable
     // migration ≡ quiesced-fold equivalence hold on the source side.
-    image.versionBase = enclave.nextSealVersion;
+    image.versionBase = enclave->nextSealVersion;
     image.pageMeta.reserve(resident.size());
     image.pages.reserve(resident.size());
 
@@ -1084,7 +1069,7 @@ Monitor::hcEnclaveSnapshot(EnclaveId id, SnapshotMode mode)
                                   pageWordsDigest(blob.words.data())});
         image.pages.push_back(std::move(blob));
     }
-    enclave.nextSealVersion += resident.size();
+    enclave->nextSealVersion += resident.size();
     image.mac = enclaveImageMac(image);
 
     // One TLB maintenance action quiesces every cached translation of
@@ -1092,26 +1077,11 @@ Monitor::hcEnclaveSnapshot(EnclaveId id, SnapshotMode mode)
     // shootdown across resident cores).
     tlbModel.flushDomain(id);
 
-    if (mode == SnapshotMode::Move) {
-        // Move semantics is evict-all + remove: the pages migrate into
-        // the evicted set (they now live in the image the OS holds),
-        // then the source is torn down like hc_enclave_remove.
-        for (const ImagePageMeta &meta : image.pageMeta)
-            enclave.evictedPages[meta.gva.value] = meta.version;
-        std::vector<Hpa> owned;
-        epcMap.forEachUsed([&](Hpa page, const EpcmEntry &entry) {
-            if (entry.owner == id)
-                owned.push_back(page);
-        });
-        for (Hpa page : owned) {
-            scrubPage(page);
-            (void)epcMap.freePage(page);
-        }
-        (void)gpt.destroy();
-        (void)ept.destroy();
-        enclave.state = EnclaveState::Dead;
-        statLiveEnclaves.set(i64(liveEnclaves()));
-    }
+    // Move semantics is evict-all + remove: the pages now live in the
+    // image the OS holds, and the source goes exactly as
+    // hc_enclave_remove takes it (the flush above already covered it).
+    if (mode == SnapshotMode::Move)
+        (void)teardownEnclave(*enclave);
 
     ++statCounters.imagesSnapshotted;
     statImagesSnapshotted.inc();
@@ -1224,7 +1194,7 @@ Monitor::hcEnclaveRestoreImage(const EnclaveImage &image)
         (void)ept.destroy();
         enclaves.erase(*new_id);
         --nextEnclaveId;
-        statLiveEnclaves.set(i64(liveEnclaves()));
+        statLiveEnclaves.set(i64(enclaves.size()));
         return scope.fail(build_error);
     }
 
@@ -1268,11 +1238,10 @@ Monitor::enclaveDirtyPages(EnclaveId id) const
 Status
 Monitor::clearEnclaveDirty(EnclaveId id, bool flush_tlb)
 {
-    auto it = enclaves.find(id);
-    if (it == enclaves.end() || it->second.state == EnclaveState::Dead)
+    Enclave *enclave = findEnclaveMutable(id);
+    if (!enclave)
         return HvError::NoSuchEnclave;
-    Enclave &enclave = it->second;
-    PageTable gpt(physMem, &frameAlloc, enclave.gptRoot);
+    PageTable gpt(physMem, &frameAlloc, enclave->gptRoot);
     std::vector<u64> dirty;
     gpt.forEachMapping([&](u64 va, Pte entry, int level) {
         if (level == 1 && entry.dirty())
@@ -1292,18 +1261,17 @@ Monitor::clearEnclaveDirty(EnclaveId id, bool flush_tlb)
 Status
 Monitor::enclaveStore(EnclaveId id, Gva va, u64 value)
 {
-    auto it = enclaves.find(id);
-    if (it == enclaves.end() || it->second.state == EnclaveState::Dead)
+    Enclave *enclave = findEnclaveMutable(id);
+    if (!enclave)
         return HvError::NoSuchEnclave;
-    Enclave &enclave = it->second;
-    if (enclave.state != EnclaveState::Initialized)
+    if (enclave->state != EnclaveState::Initialized)
         return HvError::BadEnclaveState;
-    auto hpa = translateEnclaveUncached(enclave.gptRoot, enclave.eptRoot,
+    auto hpa = translateEnclaveUncached(enclave->gptRoot, enclave->eptRoot,
                                         va, true);
     if (!hpa)
         return hpa.error();
     physMem.write(*hpa, value);
-    stampEnclaveDirty(physMem, enclave.gptRoot, enclave.eptRoot, va);
+    stampEnclaveDirty(physMem, enclave->gptRoot, enclave->eptRoot, va);
     return okStatus();
 }
 

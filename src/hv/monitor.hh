@@ -254,7 +254,10 @@ class Monitor
     /** Root of the normal VM's extended page table. */
     Hpa normalEptRoot() const { return normalEpt->root(); }
 
-    /** Look up a live (non-dead) enclave; null if unknown. */
+    /**
+     * Look up a live enclave; null if unknown.  Removal erases an
+     * enclave and ids are never reused, so a removed id stays unknown.
+     */
     const Enclave *findEnclave(EnclaveId id) const;
 
     /**
@@ -265,7 +268,7 @@ class Monitor
      */
     Enclave *findEnclaveMutable(EnclaveId id);
 
-    /** Number of live enclaves. */
+    /** Number of live enclaves (the table holds no others). */
     u64 liveEnclaves() const;
 
     /** Visit every live enclave. */
@@ -327,7 +330,8 @@ class Monitor
 
     /**
      * remove (EREMOVE analogue): tear the enclave down, scrub and free
-     * its EPC pages and page-table frames.  Not callable while a vCPU
+     * its EPC pages and page-table frames, and erase its record; the id
+     * answers NoSuchEnclave from then on.  Not callable while a vCPU
      * is inside the enclave.
      */
     Status hcEnclaveRemove(EnclaveId id);
@@ -511,13 +515,25 @@ class Monitor
     /** Scrub an EPC page before releasing it. */
     void scrubPage(Hpa page);
 
+    /**
+     * The one teardown path, shared by remove and a Move snapshot:
+     * scrub and free the enclave's EPC pages, destroy its GPT and EPT,
+     * and erase its record.  Flushes no TLB; the callers own that.
+     *
+     * @return the number of EPC pages scrubbed.
+     */
+    std::size_t teardownEnclave(const Enclave &enclave);
+
     MonitorConfig cfg;
     PhysMem physMem;
     FrameAllocator frameAlloc;
     Epcm epcMap;
     Tlb tlbModel;
     std::unique_ptr<PageTable> normalEpt;
+    /** Live enclaves only; teardownEnclave erases the record. */
     std::map<EnclaveId, Enclave> enclaves;
+    /** Ids are monotonic and never reused: an id below this that is
+     *  missing from enclaves was removed (NoSuchEnclave). */
     EnclaveId nextEnclaveId = 1;
     MonitorStats statCounters;
     /** measurement -> highest restored versionBase (anti-rollback). */

@@ -81,9 +81,8 @@ using Workload = std::function<void(u64 round)>;
 /**
  * Iteratively pre-copy enclave `id` from `src` to `dst`, then
  * stop-and-copy the residual dirty set.  Returns the restored twin's
- * id on `dst`; in Move mode the source enclave is destroyed (Dead,
- * evictions recorded) exactly as a quiesced evict-all + remove would
- * leave it.
+ * id on `dst`; in Move mode the source enclave is erased exactly as a
+ * quiesced evict-all + remove would leave it.
  */
 Expected<MigrateResult> migrateLive(hv::Machine &src, EnclaveId id,
                                     hv::Machine &dst,

@@ -14,58 +14,38 @@
 namespace hev::obs
 {
 
+namespace
+{
+
+/** One row of HEV_OBS_EVENTS, indexed by EventType. */
+struct EventTypeInfo
+{
+    const char *name;
+    const char *category;
+    char phase;
+};
+
+constexpr EventTypeInfo eventTypeInfo[eventTypeCount] = {
+#define HEV_OBS_EVENT_INFO(type, name, category, phase) \
+    {name, category, phase},
+    HEV_OBS_EVENTS(HEV_OBS_EVENT_INFO)
+#undef HEV_OBS_EVENT_INFO
+};
+
+} // namespace
+
 const char *
 eventTypeName(EventType type)
 {
-    switch (type) {
-      case EventType::HypercallEnter: return "hypercall_enter";
-      case EventType::HypercallExit: return "hypercall_exit";
-      case EventType::MirCall: return "mir_call";
-      case EventType::MirReturn: return "mir_return";
-      case EventType::PtWalk: return "pt_walk";
-      case EventType::TlbHit: return "tlb_hit";
-      case EventType::TlbMiss: return "tlb_miss";
-      case EventType::ScenarioStart: return "scenario_start";
-      case EventType::ScenarioFinish: return "scenario_finish";
-      case EventType::CounterexampleFound: return "counterexample_found";
-      case EventType::TimerScope: return "timer_scope";
-      case EventType::FuzzExec: return "fuzz_exec";
-      case EventType::FuzzCorpusAdd: return "fuzz_corpus_add";
-      case EventType::FuzzDivergence: return "fuzz_divergence";
-      case EventType::ShootdownBegin: return "shootdown_begin";
-      case EventType::ShootdownEnd: return "shootdown_end";
-      case EventType::IpiPost: return "ipi_post";
-      case EventType::IpiDeliver: return "ipi_deliver";
-      case EventType::IpiAck: return "ipi_ack";
-    }
-    return "unknown";
+    return u32(type) < eventTypeCount ? eventTypeInfo[u32(type)].name
+                                      : "unknown";
 }
 
 const char *
 eventTypeCategory(EventType type)
 {
-    switch (type) {
-      case EventType::HypercallEnter:
-      case EventType::HypercallExit: return "hv";
-      case EventType::MirCall:
-      case EventType::MirReturn: return "mir";
-      case EventType::PtWalk:
-      case EventType::TlbHit:
-      case EventType::TlbMiss: return "mmu";
-      case EventType::ScenarioStart:
-      case EventType::ScenarioFinish:
-      case EventType::CounterexampleFound: return "campaign";
-      case EventType::TimerScope: return "timer";
-      case EventType::FuzzExec:
-      case EventType::FuzzCorpusAdd:
-      case EventType::FuzzDivergence: return "fuzz";
-      case EventType::ShootdownBegin:
-      case EventType::ShootdownEnd:
-      case EventType::IpiPost:
-      case EventType::IpiDeliver:
-      case EventType::IpiAck: return "smp";
-    }
-    return "misc";
+    return u32(type) < eventTypeCount ? eventTypeInfo[u32(type)].category
+                                      : "misc";
 }
 
 u64
@@ -176,21 +156,8 @@ namespace
 char
 phaseOf(EventType type)
 {
-    switch (type) {
-      case EventType::HypercallEnter:
-      case EventType::MirCall:
-      case EventType::ScenarioStart:
-      case EventType::ShootdownBegin: return 'B';
-      case EventType::HypercallExit:
-      case EventType::MirReturn:
-      case EventType::ScenarioFinish:
-      case EventType::ShootdownEnd: return 'E';
-      case EventType::TimerScope: return 'X';
-      case EventType::IpiPost: return 's';
-      case EventType::IpiDeliver: return 't';
-      case EventType::IpiAck: return 'f';
-      default: return 'i';
-    }
+    return u32(type) < eventTypeCount ? eventTypeInfo[u32(type)].phase
+                                      : 'i';
 }
 
 void

@@ -36,31 +36,44 @@ constexpr int traceSchemaVersion = 2;
 /** Events per thread ring; wraparound drops the oldest. */
 constexpr u32 traceRingCapacity = 16384;
 
-/** The typed events the subsystems emit. */
+/**
+ * The typed events the subsystems emit, declared once:
+ * X(Enumerator, "snake_name", "category", phase).  The category is the
+ * Chrome trace_event "cat"; the phase is its "ph" letter: 'B'/'E' for
+ * duration begin/end, 'i' for instants, 'X' for complete events and
+ * 's'/'t'/'f' for the IPI flow arrows.
+ */
+#define HEV_OBS_EVENTS(X) \
+    X(HypercallEnter, "hypercall_enter", "hv", 'B') /* arg0 = principal */ \
+    X(HypercallExit, "hypercall_exit", "hv", 'E') /* arg0 = principal, arg1 = rc */ \
+    X(MirCall, "mir_call", "mir", 'B') /* arg0 = layer (0 unknown) */ \
+    X(MirReturn, "mir_return", "mir", 'E') /* arg1 = 0 ok / 1 trap */ \
+    X(PtWalk, "pt_walk", "mmu", 'i') /* arg0 = resolved level, arg1 = va */ \
+    X(TlbHit, "tlb_hit", "mmu", 'i') /* arg0 = domain */ \
+    X(TlbMiss, "tlb_miss", "mmu", 'i') /* arg0 = domain */ \
+    X(ScenarioStart, "scenario_start", "campaign", 'B') /* arg0 = shard id */ \
+    X(ScenarioFinish, "scenario_finish", "campaign", 'E') /* arg0 = shard, arg1 = checks */ \
+    X(CounterexampleFound, "counterexample_found", "campaign", 'i') /* arg0 = shard, arg1 = iteration */ \
+    X(TimerScope, "timer_scope", "timer", 'X') /* has dur; from ScopedTimer */ \
+    X(FuzzExec, "fuzz_exec", "fuzz", 'i') /* arg0 = exec index, arg1 = ops */ \
+    X(FuzzCorpusAdd, "fuzz_corpus_add", "fuzz", 'i') /* arg0 = corpus size, arg1 = features */ \
+    X(FuzzDivergence, "fuzz_divergence", "fuzz", 'i') /* arg0 = exec index, arg1 = failing op */ \
+    X(ShootdownBegin, "shootdown_begin", "smp", 'B') /* arg0 = domain, arg1 = gen */ \
+    X(ShootdownEnd, "shootdown_end", "smp", 'E') /* arg0 = domain, arg1 = gen */ \
+    X(IpiPost, "ipi_post", "smp", 's') /* arg0 = span id, arg1 = target */ \
+    X(IpiDeliver, "ipi_deliver", "smp", 't') /* arg0 = span id, arg1 = target */ \
+    X(IpiAck, "ipi_ack", "smp", 'f') /* arg0 = span id, arg1 = gen */
+
 enum class EventType : u8
 {
-    HypercallEnter,       //!< duration begin; arg0 = principal
-    HypercallExit,        //!< duration end; arg0 = principal, arg1 = rc
-    MirCall,              //!< duration begin; arg0 = layer (0 unknown)
-    MirReturn,            //!< duration end; arg1 = 0 ok / 1 trap
-    PtWalk,               //!< instant; arg0 = resolved level, arg1 = va
-    TlbHit,               //!< instant; arg0 = domain
-    TlbMiss,              //!< instant; arg0 = domain
-    ScenarioStart,        //!< duration begin; arg0 = shard id
-    ScenarioFinish,       //!< duration end; arg0 = shard, arg1 = checks
-    CounterexampleFound,  //!< instant; arg0 = shard, arg1 = iteration
-    TimerScope,           //!< complete (has dur); from ScopedTimer
-    FuzzExec,             //!< instant; arg0 = exec index, arg1 = ops
-    FuzzCorpusAdd,        //!< instant; arg0 = corpus size, arg1 = features
-    FuzzDivergence,       //!< instant; arg0 = exec index, arg1 = failing op
-    ShootdownBegin,       //!< duration begin; arg0 = domain, arg1 = gen
-    ShootdownEnd,         //!< duration end; arg0 = domain, arg1 = gen
-    IpiPost,              //!< flow start "s"; arg0 = span id, arg1 = target
-    IpiDeliver,           //!< flow step "t"; arg0 = span id, arg1 = target
-    IpiAck,               //!< flow finish "f"; arg0 = span id, arg1 = gen
+#define HEV_OBS_EVENT_ENUMERATOR(type, name, category, phase) type,
+    HEV_OBS_EVENTS(HEV_OBS_EVENT_ENUMERATOR)
+#undef HEV_OBS_EVENT_ENUMERATOR
 };
 
-constexpr u32 eventTypeCount = 19;
+#define HEV_OBS_EVENT_COUNT(type, name, category, phase) +1
+constexpr u32 eventTypeCount = 0 HEV_OBS_EVENTS(HEV_OBS_EVENT_COUNT);
+#undef HEV_OBS_EVENT_COUNT
 
 /** Stable lower-case name ("hypercall_enter", ...). */
 const char *eventTypeName(EventType type);

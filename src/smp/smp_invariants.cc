@@ -125,15 +125,7 @@ checkSmpInvariants(const SmpMonitor &smp)
                << " TCS pages";
             violations.push_back(os.str());
         }
-        resident.erase(enclave.id);
     });
-    for (const auto &[id, count] : resident) {
-        if (id == invalidEnclave)
-            continue;
-        // Dead-enclave residency was already reported per vCPU above;
-        // nothing further to count here.
-        (void)count;
-    }
     return violations;
 }
 

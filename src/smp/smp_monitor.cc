@@ -159,9 +159,31 @@ SmpMonitor::enclaveLock(EnclaveId id)
 {
     WitnessedGuard guard(enclaveLocksTableLock, LockRank::EnclaveTable);
     auto it = enclaveLocks.find(id);
-    if (it == enclaveLocks.end())
-        it = enclaveLocks.emplace(id, std::make_unique<Mutex>()).first;
-    return it->second.get();
+    if (it != enclaveLocks.end())
+        return it->second.get();
+    // The caller holds structuralLock, so the monitor's table cannot
+    // change shape under this lookup.  An unknown id leaves nothing
+    // behind: its hypercall fails NoSuchEnclave under the placeholder.
+    if (!monitor().findEnclave(id))
+        return &unknownEnclaveLock;
+    return enclaveLocks.emplace(id, std::make_unique<Mutex>())
+        .first->second.get();
+}
+
+void
+SmpMonitor::forgetEnclave(EnclaveId id)
+{
+    for (auto &cpu : cpus)
+        cpu->enclaveCtx.erase(id);
+    WitnessedGuard guard(enclaveLocksTableLock, LockRank::EnclaveTable);
+    enclaveLocks.erase(id);
+}
+
+std::size_t
+SmpMonitor::enclaveLockCount() const
+{
+    WitnessedGuard guard(enclaveLocksTableLock, LockRank::EnclaveTable);
+    return enclaveLocks.size();
 }
 
 void
@@ -487,8 +509,7 @@ SmpMonitor::hcEnclaveRemove(VcpuId v, EnclaveId id)
     shootdown(v, id);
     auto st = monitor().hcEnclaveRemove(id);
     if (st) {
-        for (auto &cpu : cpus)
-            cpu->enclaveCtx.erase(id);
+        forgetEnclave(id);
         ++statCounters.destroys;
         statSmpDestroys.inc();
     }
@@ -624,10 +645,8 @@ SmpMonitor::hcEnclaveSnapshot(VcpuId v, EnclaveId id,
             cpus[v]->tlb.invalidatePage(id, blob.gva.value);
             vas.push_back(blob.gva.value);
         }
-        if (mode == hv::SnapshotMode::Move) {
-            for (auto &cpu : cpus)
-                cpu->enclaveCtx.erase(id);
-        }
+        if (mode == hv::SnapshotMode::Move)
+            forgetEnclave(id);
     }
     // One vectored shootdown for the whole image fold (locks dropped
     // first: targets may need structuralLock to ack).
@@ -645,7 +664,10 @@ SmpMonitor::hcEnclaveRestoreImage(VcpuId v, const hv::EnclaveImage &image)
         return HvError::PermissionDenied;
     // No shootdown: the restored enclave's mappings are all new, so no
     // vCPU anywhere can hold a stale positive translation for them.
-    return monitor().hcEnclaveRestoreImage(image);
+    auto id = monitor().hcEnclaveRestoreImage(image);
+    if (id)
+        enclaveLock(*id); // materialize the per-enclave mutex
+    return id;
 }
 
 Status

@@ -332,6 +332,12 @@ class SmpMonitor
 
     /// @}
 
+    /**
+     * Size of the per-enclave lock table.  Test-only: lets the tests
+     * check that it holds exactly the live enclaves.
+     */
+    std::size_t enclaveLockCount() const;
+
 #if HEV_LOCK_WITNESS
     /**
      * Witness-build test hook: acquire osPtLock then structuralLock —
@@ -420,9 +426,18 @@ class SmpMonitor
     /**
      * The per-enclave mutex, created on first use (enclaves can also
      * be created behind the SMP monitor's back through the wrapped
-     * Machine's own hypercall path) and kept until teardown.
+     * Machine's own hypercall path) and erased by forgetEnclave.  An
+     * id the monitor does not know gets the shared unknownEnclaveLock
+     * instead, so the table only ever holds live enclaves.
      */
     Mutex *enclaveLock(EnclaveId id);
+
+    /**
+     * Drop the SMP-side state of a torn-down enclave: every vCPU's
+     * saved context and the per-enclave mutex.  Called under the
+     * exclusive structuralLock, so no thread holds that mutex.
+     */
+    void forgetEnclave(EnclaveId id) HEV_REQUIRES(structuralLock);
 
     SmpConfig cfg;
     hv::Machine mach;
@@ -442,11 +457,13 @@ class SmpMonitor
      *  enclaveLock, never across another acquisition). */
     mutable Mutex enclaveLocksTableLock
         HEV_ACQUIRED_AFTER(structuralLock);
-    /** Lock 2 lives in enclaveLocks, one mutex per enclave; the map
-     *  itself is guarded, the pointed-to mutexes are capabilities of
-     *  their own (acquired after enclaveLocksTableLock releases). */
+    /** Lock 2 lives in enclaveLocks, one mutex per live enclave; the
+     *  map itself is guarded, the pointed-to mutexes are capabilities
+     *  of their own (acquired after enclaveLocksTableLock releases). */
     std::map<EnclaveId, std::unique_ptr<Mutex>> enclaveLocks
         HEV_GUARDED_BY(enclaveLocksTableLock);
+    /** Lock 2 for ids the monitor does not know (they fail at once). */
+    Mutex unknownEnclaveLock;
     /** Lock 3: primary-OS page tables and guest page pool. */
     SharedMutex osPtLock HEV_ACQUIRED_AFTER(structuralLock);
     /** Lock 4: one shootdown in flight at a time. */

@@ -230,6 +230,72 @@ TEST(MonitorTest, HypercallsOnUnknownEnclaveRejected)
               HvError::NoSuchEnclave);
 }
 
+/** Every id-taking entry point must answer NoSuchEnclave for @p id. */
+void
+expectNoSuchEnclave(Monitor &mon, EnclaveId id)
+{
+    constexpr HvError gone = HvError::NoSuchEnclave;
+    const Gva page(0x10'0000);
+    EXPECT_EQ(mon.findEnclave(id), nullptr);
+    EXPECT_EQ(mon.hcEnclaveAddPage(id, page, Gpa(0x4000),
+                                   AddPageKind::Reg).error(),
+              gone);
+    EXPECT_EQ(mon.hcEnclaveAddPagesBatch(
+                     id, {{page, Gpa(0x4000), AddPageKind::Reg}})
+                  .error(),
+              gone);
+    EXPECT_EQ(mon.hcEnclaveInitFinish(id).error(), gone);
+    VCpu vcpu;
+    EXPECT_EQ(mon.hcEnclaveEnter(id, vcpu).error(), gone);
+    EXPECT_EQ(mon.hcEnclaveRemove(id).error(), gone);
+    EXPECT_EQ(mon.hcEnclaveEvictPage(id, page).error(), gone);
+    EXPECT_EQ(mon.hcEnclaveEvictPagesBatch(id, {page}).error(), gone);
+    SealedBlob blob;
+    blob.owner = id;
+    blob.gva = page;
+    blob.mac = sealedBlobMac(blob);
+    EXPECT_EQ(mon.hcEnclaveReloadPage(id, blob).error(), gone);
+    EXPECT_EQ(mon.hcEnclaveSnapshot(id, SnapshotMode::Fork).error(), gone);
+    EXPECT_EQ(mon.hcEnclaveSnapshot(id, SnapshotMode::Move).error(), gone);
+    EXPECT_EQ(mon.enclaveDirtyPages(id).error(), gone);
+    EXPECT_EQ(mon.clearEnclaveDirty(id).error(), gone);
+    EXPECT_EQ(mon.enclaveStore(id, page, 1).error(), gone);
+    EXPECT_EQ(mon.enclaveLoad(id, page).error(), gone);
+    EXPECT_EQ(mon.enclaveResidentPages(id).error(), gone);
+    std::vector<u64> words(pageSize / sizeof(u64));
+    EXPECT_EQ(mon.enclaveReadPage(id, page, words.data()).error(), gone);
+}
+
+TEST(MonitorTest, RemovedAndMovedIdsAreGoneAndNeverReused)
+{
+    Machine machine(smallConfig());
+    Monitor &mon = machine.monitor();
+    auto removed = machine.setupEnclave(0x10'0000, 2, 1, 0x11);
+    auto moved = machine.setupEnclave(0x10'0000, 2, 1, 0x22);
+    ASSERT_TRUE(removed.ok());
+    ASSERT_TRUE(moved.ok());
+    ASSERT_EQ(mon.liveEnclaves(), 2u);
+
+    ASSERT_TRUE(mon.hcEnclaveRemove(removed->id).ok());
+    ASSERT_TRUE(mon.hcEnclaveSnapshot(moved->id, SnapshotMode::Move).ok());
+    // Both records are gone, not merely marked: nothing is left to
+    // count or visit.
+    EXPECT_EQ(mon.liveEnclaves(), 0u);
+    u64 visited = 0;
+    mon.forEachEnclave([&](const Enclave &) { ++visited; });
+    EXPECT_EQ(visited, 0u);
+    expectNoSuchEnclave(mon, removed->id);
+    expectNoSuchEnclave(mon, moved->id);
+
+    // The next enclave gets a fresh id; the retired ones stay unknown.
+    auto fresh = machine.setupEnclave(0x10'0000, 1, 1, 0x33);
+    ASSERT_TRUE(fresh.ok());
+    EXPECT_EQ(fresh->id, moved->id + 1);
+    EXPECT_EQ(mon.liveEnclaves(), 1u);
+    expectNoSuchEnclave(mon, removed->id);
+    expectNoSuchEnclave(mon, moved->id);
+}
+
 TEST(MonitorTest, EnterExitRoundTripRestoresContext)
 {
     Machine machine(smallConfig());

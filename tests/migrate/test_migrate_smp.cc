@@ -98,8 +98,29 @@ TEST(MigrateSmp, SnapshotStormRacesWorkersAndStaysCoherent)
     std::atomic<u32> active{workers};
     std::atomic<bool> snapshotterDone{false};
     std::atomic<u32> failures{0};
+    // Start gate: no thread runs ahead while the others are spawned.
+    std::atomic<bool> go{false};
+    // Handshake: worker 0 stays resident until the snapshotter's first
+    // attempt, so that attempt must meet the residency check.
+    std::atomic<bool> resident{false};
+    std::atomic<bool> attempted{false};
+    const auto awaitFlag = [&](const std::atomic<bool> &flag, VcpuId v) {
+        while (!flag.load()) {
+            smp.serviceIpis(v);
+            std::this_thread::yield();
+        }
+    };
 
     const auto worker = [&](VcpuId t) {
+        awaitFlag(go, t);
+        if (t == 0) {
+            if (!smp.hcEnclaveEnter(t, *enc))
+                failures.fetch_add(1);
+            resident.store(true);
+            awaitFlag(attempted, t);
+            if (!smp.hcEnclaveExit(t))
+                failures.fetch_add(1);
+        }
         for (int i = 0; i < rounds; ++i) {
             bool ok = true;
             ok = ok && bool(smp.hcEnclaveEnter(t, *enc));
@@ -116,10 +137,7 @@ TEST(MigrateSmp, SnapshotStormRacesWorkersAndStaysCoherent)
         // every worker is: a snapshot that wins the final quiesce
         // window still shoots down every other vCPU, and a vCPU whose
         // thread has returned would never ack it.
-        while (!snapshotterDone.load()) {
-            smp.serviceIpis(t);
-            std::this_thread::yield();
-        }
+        awaitFlag(snapshotterDone, t);
     };
 
     // The snapshotter hammers fork snapshots against the workers: most
@@ -127,19 +145,24 @@ TEST(MigrateSmp, SnapshotStormRacesWorkersAndStaysCoherent)
     // any success is a quiesce window it legitimately won.
     std::vector<hv::EnclaveImage> images;
     u32 rejected = 0;
+    const auto attempt = [&] {
+        auto image = smp.hcEnclaveSnapshot(3, *enc, hv::SnapshotMode::Fork);
+        if (image)
+            images.push_back(std::move(*image));
+        else if (image.error() == HvError::BadEnclaveState)
+            ++rejected;
+        else
+            failures.fetch_add(1);
+        smp.serviceIpis(3);
+        std::this_thread::yield();
+    };
     const auto snapshotter = [&] {
-        while (active.load() != 0) {
-            auto image = smp.hcEnclaveSnapshot(3, *enc,
-                                               hv::SnapshotMode::Fork);
-            if (image)
-                images.push_back(std::move(*image));
-            else if (image.error() == HvError::BadEnclaveState)
-                ++rejected;
-            else
-                failures.fetch_add(1);
-            smp.serviceIpis(3);
-            std::this_thread::yield();
-        }
+        awaitFlag(go, 3);
+        awaitFlag(resident, 3);
+        attempt(); // worker 0 is inside and waits for this one
+        attempted.store(true);
+        while (active.load() != 0)
+            attempt();
         snapshotterDone.store(true);
     };
 
@@ -147,10 +170,12 @@ TEST(MigrateSmp, SnapshotStormRacesWorkersAndStaysCoherent)
     for (u32 t = 0; t < workers; ++t)
         pool.emplace_back(worker, VcpuId(t));
     pool.emplace_back(snapshotter);
+    go.store(true);
     for (std::thread &thread : pool)
         thread.join();
 
     EXPECT_EQ(failures.load(), 0u);
+    EXPECT_GE(rejected, 1u);
     EXPECT_TRUE(checkSmpInvariants(smp).empty());
     EXPECT_TRUE(checkTlbCoherence(smp).empty());
     for (VcpuId v = 0; v < vcpus; ++v)

@@ -188,10 +188,10 @@ TEST(Stats, SnapshotMinusAcrossThreadRetirement)
     release.store(true);
     worker.join();
     const Snapshot after = snapshotStats();
-    EXPECT_EQ(counterValue(after.minus(mid), "test.stats.retire"), 0u);
-    const auto it =
-        after.minus(mid).histograms.find("test.stats.retire_hist");
-    if (it != after.minus(mid).histograms.end())
+    const Snapshot diff = after.minus(mid);
+    EXPECT_EQ(counterValue(diff, "test.stats.retire"), 0u);
+    const auto it = diff.histograms.find("test.stats.retire_hist");
+    if (it != diff.histograms.end())
         EXPECT_EQ(it->second.count, 0u);
     const Snapshot span = after.minus(before);
     EXPECT_EQ(counterValue(span, "test.stats.retire"), 100u);

@@ -2,7 +2,8 @@
  * @file
  * SMP destroy semantics: hcEnclaveRemove must be rejected while *any*
  * vCPU is executing inside the enclave — not merely the calling one —
- * and must retire the domain everywhere once it does run.
+ * must retire the domain everywhere once it does run, and must leave
+ * no per-enclave SMP state behind.
  */
 
 #include <gtest/gtest.h>
@@ -119,4 +120,93 @@ TEST(SmpDestroy, DropsPerVcpuEnclaveContexts)
     ASSERT_TRUE(smp.hcEnclaveEnter(0, second->id));
     EXPECT_EQ(smp.archOf(0).regs.gpr[5], 0u);
     ASSERT_TRUE(smp.hcEnclaveExit(0));
+}
+
+namespace
+{
+
+/** Every id-taking SMP hypercall on @p id fails with NoSuchEnclave. */
+void
+expectNoSuchEnclave(SmpMonitor &smp, EnclaveId id)
+{
+    constexpr HvError gone = HvError::NoSuchEnclave;
+    const Gva page(0x10'0000);
+    const Gpa src(0x4000);
+    EXPECT_EQ(smp.hcEnclaveAddPage(0, id, page, src, hv::AddPageKind::Reg)
+                  .error(),
+              gone);
+    EXPECT_EQ(smp.hcEnclaveAddPagesBatch(
+                     0, id, {{page, src, hv::AddPageKind::Reg}})
+                  .error(),
+              gone);
+    EXPECT_EQ(smp.hcEnclaveInitFinish(0, id).error(), gone);
+    EXPECT_EQ(smp.hcEnclaveEnter(0, id).error(), gone);
+    EXPECT_EQ(smp.hcEnclaveRemove(0, id).error(), gone);
+    EXPECT_EQ(smp.hcEnclaveEvictPage(0, id, page).error(), gone);
+    EXPECT_EQ(smp.hcEnclaveEvictPagesBatch(0, id, {page}).error(), gone);
+    hv::SealedBlob blob;
+    blob.owner = id;
+    blob.gva = page;
+    blob.mac = hv::sealedBlobMac(blob);
+    EXPECT_EQ(smp.hcEnclaveReloadPage(0, id, blob).error(), gone);
+    EXPECT_EQ(smp.hcEnclaveSnapshot(0, id, hv::SnapshotMode::Fork).error(),
+              gone);
+}
+
+} // namespace
+
+TEST(SmpDestroy, LockTableHoldsExactlyTheLiveEnclaves)
+{
+    SmpMonitor smp(smallConfig(2));
+    installServiceAllDriver(smp);
+    auto mbuf = smp.machine().os().allocPage();
+    ASSERT_TRUE(mbuf);
+    hv::EnclaveConfig config;
+    config.elrange = {Gva(0x10'0000), Gva(0x10'0000 + 4 * pageSize)};
+    config.mbufGva = Gva(0x10'0000 + 64 * pageSize);
+    config.mbufPages = 1;
+    config.mbufBacking = *mbuf;
+    const auto expectTableIsLiveSet = [&] {
+        EXPECT_EQ(smp.enclaveLockCount(), smp.monitor().liveEnclaves());
+    };
+
+    // Create/destroy churn must not grow the table.
+    EnclaveId removed = invalidEnclave;
+    for (int i = 0; i < 1000; ++i) {
+        const auto id = smp.hcEnclaveInit(i % 2, config);
+        ASSERT_TRUE(id);
+        ASSERT_TRUE(smp.hcEnclaveRemove((i + 1) % 2, *id));
+        removed = *id;
+    }
+    EXPECT_EQ(smp.enclaveLockCount(), 0u);
+    expectTableIsLiveSet();
+
+    // Move snapshots tear the source down like remove; the restored
+    // twin is live and gets its mutex at once, like an init.
+    const auto kept = makeMultiTcsEnclave(smp, 0, 0x10'0000, 2, 1);
+    ASSERT_TRUE(kept);
+    ASSERT_TRUE(smp.hcEnclaveSnapshot(1, *kept, hv::SnapshotMode::Fork));
+    std::vector<EnclaveId> moved;
+    std::vector<hv::EnclaveImage> images;
+    for (int i = 0; i < 3; ++i) {
+        const auto id = makeMultiTcsEnclave(smp, i % 2, 0x10'0000, 1, 1,
+                                            0x100 * (i + 1));
+        ASSERT_TRUE(id);
+        auto image = smp.hcEnclaveSnapshot(0, *id, hv::SnapshotMode::Move);
+        ASSERT_TRUE(image);
+        moved.push_back(*id);
+        images.push_back(*image);
+        expectTableIsLiveSet();
+    }
+    ASSERT_TRUE(smp.hcEnclaveRestoreImage(1, images.front()));
+    EXPECT_EQ(smp.monitor().liveEnclaves(), 2u);
+    expectTableIsLiveSet();
+
+    // Hypercalls on unknown ids answer exactly NoSuchEnclave and leave
+    // no mutex behind: never-issued, removed and moved ids alike.
+    for (const EnclaveId id : {EnclaveId(99'999), removed, moved[0],
+                               moved[1], moved[2]})
+        expectNoSuchEnclave(smp, id);
+    expectTableIsLiveSet();
+    EXPECT_TRUE(checkSmpInvariants(smp).empty());
 }
