@@ -349,6 +349,17 @@ Monitor::mapMarshallingBuffer(Enclave &enclave)
 Expected<EnclaveId>
 Monitor::hcEnclaveInit(const EnclaveConfig &config)
 {
+    auto id = initEnclave(config);
+    if (id) {
+        ++statCounters.enclavesCreated;
+        statEnclavesCreated.inc();
+    }
+    return id;
+}
+
+Expected<EnclaveId>
+Monitor::initEnclave(const EnclaveConfig &config)
+{
     HypercallScope scope(statCounters, "hc_enclave_init", nextEnclaveId);
     auto id = validateInitConfig(config);
     if (!id)
@@ -388,8 +399,6 @@ Monitor::hcEnclaveInit(const EnclaveConfig &config)
 
     enclaves.emplace(*id, enclave);
     ++nextEnclaveId;
-    ++statCounters.enclavesCreated;
-    statEnclavesCreated.inc();
     statLiveEnclaves.set(i64(enclaves.size()));
     inform("created (elrange [%#llx, %#llx))",
            (unsigned long long)config.elrange.start.value,
@@ -1124,8 +1133,9 @@ Monitor::hcEnclaveRestoreImage(const EnclaveImage &image)
     // Build the twin through the init path (validates geometry against
     // this host's layout and maps the marshalling buffer), then reload
     // every page from its blob.  Everything after init lands in the
-    // undo set: restore is all-or-nothing.
-    auto new_id = hcEnclaveInit(image.cfg);
+    // undo set: restore is all-or-nothing, and the enclave counts as
+    // created only once it commits.
+    auto new_id = initEnclave(image.cfg);
     if (!new_id)
         return scope.fail(new_id.error());
     Enclave &enclave = enclaves.at(*new_id);
@@ -1211,6 +1221,8 @@ Monitor::hcEnclaveRestoreImage(const EnclaveImage &image)
     enclave.nextSealVersion = image.versionBase + image.pages.size();
     imageLedger[image.measurement] = image.versionBase;
 
+    ++statCounters.enclavesCreated;
+    statEnclavesCreated.inc();
     ++statCounters.imagesRestored;
     statImagesRestored.inc();
     inform("restored image (%zu pages) as enclave %llu",

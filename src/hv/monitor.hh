@@ -509,6 +509,12 @@ class Monitor
     /** Shared init validation; returns the id to use. */
     Expected<EnclaveId> validateInitConfig(const EnclaveConfig &config);
 
+    /**
+     * hcEnclaveInit without counting the enclave as created, so a
+     * restore that fails after it leaves the creation count alone.
+     */
+    Expected<EnclaveId> initEnclave(const EnclaveConfig &config);
+
     /** Map the marshalling buffer into an enclave's GPT and EPT. */
     Status mapMarshallingBuffer(Enclave &enclave);
 

@@ -1,6 +1,7 @@
 #include "smp/lock_witness.hh"
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "support/logging.hh"
@@ -24,16 +25,13 @@ heldStack()
 const char *
 lockRankName(LockRank rank)
 {
-    switch (rank) {
-      case LockRank::Structural: return "structuralLock";
-      case LockRank::EnclaveTable: return "enclaveLocksTableLock";
-      case LockRank::Enclave: return "enclaveLock";
-      case LockRank::OsPt: return "osPtLock";
-      case LockRank::Shootdown: return "shootdownLock";
-      case LockRank::Mailbox: return "mailboxLock";
-      case LockRank::InFlightPages: return "inFlightPagesLock";
-    }
-    return "unknown";
+    static constexpr const char *names[] = {
+#define HEV_LOCK_RANK_NAME(rank, member) #member,
+        HEV_SMP_LOCKS(HEV_LOCK_RANK_NAME)
+#undef HEV_LOCK_RANK_NAME
+    };
+    const u32 index = u32(rank);
+    return index < lockRankCount ? names[index] : "unknown";
 }
 
 void
@@ -44,13 +42,15 @@ LockWitness::acquire(LockRank rank)
     // same tier nested, which the hierarchy also forbids (at most one
     // per-enclave mutex, one mailbox at a time).
     for (const LockRank prior : held) {
-        if (u32(prior) >= u32(rank))
-            panic("lock-order violation: acquiring %s (rank %u) while "
-                  "holding %s (rank %u); the hierarchy is "
-                  "structural -> enclave -> osPt -> shootdown "
-                  "(docs/ANALYSIS.md)",
-                  lockRankName(rank), u32(rank), lockRankName(prior),
-                  u32(prior));
+        if (u32(prior) >= u32(rank)) {
+            std::string order;
+            for (u32 r = 0; r < lockRankCount; ++r)
+                order.append(r ? " -> " : "")
+                    .append(lockRankName(LockRank(r)));
+            panic("lock-order violation: acquiring %s while holding %s; "
+                  "the hierarchy is %s (HEV_SMP_LOCKS)",
+                  lockRankName(rank), lockRankName(prior), order.c_str());
+        }
     }
     held.push_back(rank);
 }

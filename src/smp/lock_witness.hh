@@ -1,29 +1,26 @@
 /**
  * @file
- * Debug-only runtime lock-order witness for the SMP monitor.
+ * The SMP monitor's lock order, and a debug-only runtime witness of it.
  *
- * The lock hierarchy (smp_monitor.hh file header, docs/SMP.md) is
- * enforced three ways, each catching what the others cannot:
- *   - compile time: Clang thread-safety annotations
- *     (support/thread_annotations.hh) reject guarded-field access
- *     without the guard under -DHEV_ANALYZE=ON;
- *   - lint time: tools/hev_lint.py checks every acquisition site in
- *     src/smp against the declared DAG and rejects cycles;
+ * HEV_SMP_LOCKS is the one place the order is written down.  It
+ * generates LockRank (ordinals in list order) and lockRankName; each
+ * lock member carries its rank in its type (Ranked<LockRank::X, M>),
+ * and the guards read the rank from there, so a guard cannot pair a
+ * lock with the wrong rank.  The order is then enforced two ways:
+ *   - lint time: tools/hev_lint.py reads the same list and checks
+ *     every guard construction in the src/smp .cc files against it;
  *   - run time (this file): a thread-local stack of held-lock ranks
  *     panics the instant any thread acquires against the order, even
- *     on interleavings the static tools cannot see through (function
+ *     on interleavings the static scan cannot see through (function
  *     pointers, virtuals, data-dependent lock choice).
+ * Which fields each lock guards is checked separately by Clang's
+ * thread-safety analysis under -DHEV_ANALYZE=ON
+ * (support/thread_annotations.hh).
  *
  * The witness *machinery* is always compiled (tests drive it
  * directly); the *hooks* in SmpMonitor's lock guards are compiled out
  * unless the build defines HEV_LOCK_WITNESS (CMake
  * -DHEV_LOCK_WITNESS=ON), so production builds pay nothing.
- *
- * Ranks are strictly increasing along every legal acquisition chain.
- * Gaps between ranks are deliberate: future locks slot in without
- * renumbering.  tools/hev_lint.py derives its DAG from the same
- * hierarchy, keyed off the HEV_ACQUIRED_AFTER declarations in
- * smp_monitor.hh, so the three enforcement layers cannot drift.
  */
 
 #ifndef HEV_SMP_LOCK_WITNESS_HH
@@ -36,19 +33,47 @@
 namespace hev::smp
 {
 
-/** Rank of every lock in the SMP monitor's documented hierarchy. */
+/**
+ * Every SMP lock, in acquisition order: X(Rank, memberName).  A thread
+ * may only acquire a lock listed after every lock it already holds;
+ * releases come in any order.  memberName is the lock's member in
+ * SmpMonitor / SmpVcpu (enclaveLock names the per-enclave mutexes,
+ * reached through SmpMonitor::enclaveLock).
+ */
+#define HEV_SMP_LOCKS(X) \
+    X(Structural, structuralLock) \
+    X(EnclaveTable, enclaveLocksTableLock) \
+    X(Enclave, enclaveLock) \
+    X(OsPt, osPtLock) \
+    X(Shootdown, shootdownLock) \
+    X(Mailbox, mailboxLock) \
+    X(InFlightPages, inFlightPagesLock)
+
+/** Rank of each lock: its position in HEV_SMP_LOCKS. */
 enum class LockRank : u32
 {
-    Structural = 10,   //!< SmpMonitor::structuralLock
-    EnclaveTable = 15, //!< SmpMonitor::enclaveLocksTableLock
-    Enclave = 20,      //!< the per-enclave mutexes
-    OsPt = 30,         //!< SmpMonitor::osPtLock
-    Shootdown = 40,    //!< SmpMonitor::shootdownLock
-    Mailbox = 50,      //!< SmpVcpu::mailboxLock
-    InFlightPages = 60 //!< SmpMonitor::inFlightPagesLock
+#define HEV_LOCK_RANK_ENUMERATOR(rank, member) rank,
+    HEV_SMP_LOCKS(HEV_LOCK_RANK_ENUMERATOR)
+#undef HEV_LOCK_RANK_ENUMERATOR
 };
 
-/** Stable name of a rank, for violation reports. */
+#define HEV_LOCK_RANK_COUNT(rank, member) +1
+constexpr u32 lockRankCount = 0 HEV_SMP_LOCKS(HEV_LOCK_RANK_COUNT);
+#undef HEV_LOCK_RANK_COUNT
+
+/**
+ * A lock of type M whose rank is part of its type.  It inherits M's
+ * capability attribute and lock surface unchanged; the guards read
+ * Ranked::rank.
+ */
+template <LockRank R, class M>
+class Ranked : public M
+{
+  public:
+    static constexpr LockRank rank = R;
+};
+
+/** The lock's member name (HEV_SMP_LOCKS), for violation reports. */
 const char *lockRankName(LockRank rank);
 
 /**

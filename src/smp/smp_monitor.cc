@@ -49,29 +49,96 @@ nowNs()
  * MutexGuard plus the lock-order witness hook, for the short internal
  * critical sections (IPI mailboxes, the in-flight page set, the
  * enclave-lock table) whose holders never block on remote progress and
- * therefore need no IPI servicing while acquiring.
+ * therefore need no IPI servicing while acquiring.  M is a Ranked lock:
+ * the witness reads the rank from its type.
  */
+template <class M>
 class HEV_SCOPED_CAPABILITY WitnessedGuard
 {
   public:
-    WitnessedGuard(Mutex &m, LockRank r) HEV_ACQUIRE(m) : mu(m), rank(r)
+    explicit WitnessedGuard(M &m) HEV_ACQUIRE(m) : mu(m)
     {
-        HEV_WITNESS_ACQUIRE(rank);
+        HEV_WITNESS_ACQUIRE(M::rank);
         mu.lock();
     }
 
     ~WitnessedGuard() HEV_RELEASE()
     {
         mu.unlock();
-        HEV_WITNESS_RELEASE(rank);
+        HEV_WITNESS_RELEASE(M::rank);
     }
 
     WitnessedGuard(const WitnessedGuard &) = delete;
     WitnessedGuard &operator=(const WitnessedGuard &) = delete;
 
   private:
-    Mutex &mu;
-    [[maybe_unused]] LockRank rank;
+    M &mu;
+};
+
+/**
+ * Blocking acquisitions that keep servicing the acquiring vCPU's own
+ * IPIs while they spin — the software analogue of spinning with
+ * interrupts enabled (smp_monitor.hh file header).  ServicingGuard
+ * takes any Ranked lock exclusively, SharedServicingGuard a Ranked
+ * SharedMutex shared.  Scoped guards instead of raw lock/adopt pairs
+ * so Clang's thread-safety analysis sees the acquisition, and so the
+ * lock-order witness hooks ride the same RAII edges.  The spin bodies
+ * are try-lock loops the analysis cannot prove terminate holding the
+ * lock, so the constructors carry HEV_NO_THREAD_SAFETY_ANALYSIS; the
+ * ACQUIRE contract is what callers are checked against.
+ */
+template <class M>
+class HEV_SCOPED_CAPABILITY ServicingGuard
+{
+  public:
+    ServicingGuard(SmpMonitor &mon, M &m, VcpuId v)
+        HEV_ACQUIRE(m) HEV_NO_THREAD_SAFETY_ANALYSIS : mu(m)
+    {
+        HEV_WITNESS_ACQUIRE(M::rank);
+        while (!mu.try_lock()) {
+            mon.serviceIpis(v);
+            std::this_thread::yield();
+        }
+    }
+
+    ~ServicingGuard() HEV_RELEASE()
+    {
+        mu.unlock();
+        HEV_WITNESS_RELEASE(M::rank);
+    }
+
+    ServicingGuard(const ServicingGuard &) = delete;
+    ServicingGuard &operator=(const ServicingGuard &) = delete;
+
+  private:
+    M &mu;
+};
+
+template <class M>
+class HEV_SCOPED_CAPABILITY SharedServicingGuard
+{
+  public:
+    SharedServicingGuard(SmpMonitor &mon, M &m, VcpuId v)
+        HEV_ACQUIRE_SHARED(m) HEV_NO_THREAD_SAFETY_ANALYSIS : mu(m)
+    {
+        HEV_WITNESS_ACQUIRE(M::rank);
+        while (!mu.try_lock_shared()) {
+            mon.serviceIpis(v);
+            std::this_thread::yield();
+        }
+    }
+
+    ~SharedServicingGuard() HEV_RELEASE_GENERIC()
+    {
+        mu.unlock_shared();
+        HEV_WITNESS_RELEASE(M::rank);
+    }
+
+    SharedServicingGuard(const SharedServicingGuard &) = delete;
+    SharedServicingGuard &operator=(const SharedServicingGuard &) = delete;
+
+  private:
+    M &mu;
 };
 
 } // namespace
@@ -102,62 +169,10 @@ SmpMonitor::setIpiDriver(IpiDriver driver)
     ipiDriver = std::move(driver);
 }
 
-SmpMonitor::ExclusiveServicingGuard::ExclusiveServicingGuard(
-    SmpMonitor &mon, SharedMutex &m, VcpuId v, LockRank r)
-    : mu(m), rank(r)
-{
-    HEV_WITNESS_ACQUIRE(rank);
-    while (!mu.try_lock()) {
-        mon.serviceIpis(v);
-        std::this_thread::yield();
-    }
-}
-
-SmpMonitor::ExclusiveServicingGuard::~ExclusiveServicingGuard()
-{
-    mu.unlock();
-    HEV_WITNESS_RELEASE(rank);
-}
-
-SmpMonitor::SharedServicingGuard::SharedServicingGuard(
-    SmpMonitor &mon, SharedMutex &m, VcpuId v, LockRank r)
-    : mu(m), rank(r)
-{
-    HEV_WITNESS_ACQUIRE(rank);
-    while (!mu.try_lock_shared()) {
-        mon.serviceIpis(v);
-        std::this_thread::yield();
-    }
-}
-
-SmpMonitor::SharedServicingGuard::~SharedServicingGuard()
-{
-    mu.unlock_shared();
-    HEV_WITNESS_RELEASE(rank);
-}
-
-SmpMonitor::MutexServicingGuard::MutexServicingGuard(SmpMonitor &mon,
-                                                     Mutex &m, VcpuId v,
-                                                     LockRank r)
-    : mu(m), rank(r)
-{
-    HEV_WITNESS_ACQUIRE(rank);
-    while (!mu.try_lock()) {
-        mon.serviceIpis(v);
-        std::this_thread::yield();
-    }
-}
-
-SmpMonitor::MutexServicingGuard::~MutexServicingGuard()
-{
-    mu.unlock();
-    HEV_WITNESS_RELEASE(rank);
-}
-
-Mutex *
+SmpMonitor::EnclaveMutex *
 SmpMonitor::enclaveLock(EnclaveId id)
 {
-    WitnessedGuard guard(enclaveLocksTableLock, LockRank::EnclaveTable);
+    WitnessedGuard guard(enclaveLocksTableLock);
     auto it = enclaveLocks.find(id);
     if (it != enclaveLocks.end())
         return it->second.get();
@@ -166,7 +181,7 @@ SmpMonitor::enclaveLock(EnclaveId id)
     // behind: its hypercall fails NoSuchEnclave under the placeholder.
     if (!monitor().findEnclave(id))
         return &unknownEnclaveLock;
-    return enclaveLocks.emplace(id, std::make_unique<Mutex>())
+    return enclaveLocks.emplace(id, std::make_unique<EnclaveMutex>())
         .first->second.get();
 }
 
@@ -175,14 +190,14 @@ SmpMonitor::forgetEnclave(EnclaveId id)
 {
     for (auto &cpu : cpus)
         cpu->enclaveCtx.erase(id);
-    WitnessedGuard guard(enclaveLocksTableLock, LockRank::EnclaveTable);
+    WitnessedGuard guard(enclaveLocksTableLock);
     enclaveLocks.erase(id);
 }
 
 std::size_t
 SmpMonitor::enclaveLockCount() const
 {
-    WitnessedGuard guard(enclaveLocksTableLock, LockRank::EnclaveTable);
+    WitnessedGuard guard(enclaveLocksTableLock);
     return enclaveLocks.size();
 }
 
@@ -192,7 +207,7 @@ SmpMonitor::serviceIpis(VcpuId v)
     SmpVcpu &cpu = *cpus[v];
     std::vector<IpiRequest> todo;
     {
-        WitnessedGuard guard(cpu.mailboxLock, LockRank::Mailbox);
+        WitnessedGuard guard(cpu.mailboxLock);
         todo.swap(cpu.mailbox);
     }
     if (todo.empty())
@@ -239,7 +254,7 @@ bool
 SmpMonitor::ipiPending(VcpuId v) const
 {
     SmpVcpu &cpu = *cpus[v];
-    WitnessedGuard guard(cpu.mailboxLock, LockRank::Mailbox);
+    WitnessedGuard guard(cpu.mailboxLock);
     return !cpu.mailbox.empty();
 }
 
@@ -253,7 +268,7 @@ SmpMonitor::shootdownInFlight(hv::DomainId domain) const
 bool
 SmpMonitor::shootdownPageInFlight(u64 va) const
 {
-    WitnessedGuard guard(inFlightPagesLock, LockRank::InFlightPages);
+    WitnessedGuard guard(inFlightPagesLock);
     return inFlightPageVas.count(va & ~(pageSize - 1)) != 0;
 }
 
@@ -267,15 +282,14 @@ void
 SmpMonitor::shootdown(VcpuId initiator, hv::DomainId domain,
                       const std::vector<u64> &page_vas)
 {
-    MutexServicingGuard shootdown_guard(*this, shootdownLock, initiator,
-                                        LockRank::Shootdown);
+    ServicingGuard shootdown_guard(*this, shootdownLock, initiator);
     const u64 gen = epoch.fetch_add(1, std::memory_order_acq_rel) + 1;
     inFlightDomainPlus1.store(u64(domain) + 1, std::memory_order_release);
     if (!page_vas.empty()) {
         // Register the batch's pages: until the ack wait completes a
         // stale translation of any of them may still be live on a
         // remote vCPU, so reload_page refuses to re-establish them.
-        WitnessedGuard guard(inFlightPagesLock, LockRank::InFlightPages);
+        WitnessedGuard guard(inFlightPagesLock);
         inFlightPageVas.insert(page_vas.begin(), page_vas.end());
     }
     obs::traceEvent(obs::EventType::ShootdownBegin, "shootdown",
@@ -288,7 +302,7 @@ SmpMonitor::shootdown(VcpuId initiator, hv::DomainId domain,
         SmpVcpu &target = *cpus[w];
         const u64 postTs = timing ? nowNs() : 0;
         {
-            WitnessedGuard guard(target.mailboxLock, LockRank::Mailbox);
+            WitnessedGuard guard(target.mailboxLock);
             target.mailbox.push_back({gen, domain, postTs, page_vas});
         }
         obs::traceEvent(obs::EventType::IpiPost, "ipi",
@@ -308,7 +322,7 @@ SmpMonitor::shootdown(VcpuId initiator, hv::DomainId domain,
     const auto clearInFlightPages = [&] {
         if (page_vas.empty())
             return;
-        WitnessedGuard guard(inFlightPagesLock, LockRank::InFlightPages);
+        WitnessedGuard guard(inFlightPagesLock);
         for (const u64 va : page_vas)
             inFlightPageVas.erase(va);
     };
@@ -377,8 +391,7 @@ SmpMonitor::shootdown(VcpuId initiator, hv::DomainId domain,
 Expected<EnclaveId>
 SmpMonitor::hcEnclaveInit(VcpuId v, const hv::EnclaveConfig &config)
 {
-    ExclusiveServicingGuard guard(*this, structuralLock, v,
-                                  LockRank::Structural);
+    ServicingGuard guard(*this, structuralLock, v);
     auto id = monitor().hcEnclaveInit(config);
     if (id)
         enclaveLock(*id); // materialize the per-enclave mutex
@@ -389,10 +402,8 @@ Status
 SmpMonitor::hcEnclaveAddPage(VcpuId v, EnclaveId id, Gva page_gva, Gpa src,
                              hv::AddPageKind kind)
 {
-    SharedServicingGuard guard(*this, structuralLock, v,
-                               LockRank::Structural);
-    Mutex *lock = enclaveLock(id);
-    MutexServicingGuard enclave_guard(*this, *lock, v, LockRank::Enclave);
+    SharedServicingGuard guard(*this, structuralLock, v);
+    ServicingGuard enclave_guard(*this, *enclaveLock(id), v);
     return monitor().hcEnclaveAddPage(id, page_gva, src, kind,
                                       caches[v].get());
 }
@@ -400,28 +411,23 @@ SmpMonitor::hcEnclaveAddPage(VcpuId v, EnclaveId id, Gva page_gva, Gpa src,
 Status
 SmpMonitor::hcEnclaveInitFinish(VcpuId v, EnclaveId id)
 {
-    SharedServicingGuard guard(*this, structuralLock, v,
-                               LockRank::Structural);
-    Mutex *lock = enclaveLock(id);
-    MutexServicingGuard enclave_guard(*this, *lock, v, LockRank::Enclave);
+    SharedServicingGuard guard(*this, structuralLock, v);
+    ServicingGuard enclave_guard(*this, *enclaveLock(id), v);
     return monitor().hcEnclaveInitFinish(id);
 }
 
 Status
 SmpMonitor::hcEnclaveEnter(VcpuId v, EnclaveId id)
 {
-    SharedServicingGuard guard(*this, structuralLock, v,
-                               LockRank::Structural);
+    SharedServicingGuard guard(*this, structuralLock, v);
     SmpVcpu &cpu = *cpus[v];
     if (cpu.arch.mode != hv::CpuMode::GuestNormal)
         return HvError::BadEnclaveState;
     hv::Enclave *enclave = monitor().findEnclaveMutable(id);
     if (!enclave)
         return HvError::NoSuchEnclave;
-    Mutex *lock = enclaveLock(id);
     {
-        MutexServicingGuard enclave_guard(*this, *lock, v,
-                                          LockRank::Enclave);
+        ServicingGuard enclave_guard(*this, *enclaveLock(id), v);
         if (enclave->state != hv::EnclaveState::Initialized)
             return HvError::BadEnclaveState;
         // Multi-occupancy: one TCS per resident vCPU.
@@ -454,8 +460,7 @@ SmpMonitor::hcEnclaveEnter(VcpuId v, EnclaveId id)
 Status
 SmpMonitor::hcEnclaveExit(VcpuId v)
 {
-    SharedServicingGuard guard(*this, structuralLock, v,
-                               LockRank::Structural);
+    SharedServicingGuard guard(*this, structuralLock, v);
     SmpVcpu &cpu = *cpus[v];
     if (cpu.arch.mode != hv::CpuMode::GuestEnclave)
         return HvError::BadEnclaveState;
@@ -476,10 +481,8 @@ SmpMonitor::hcEnclaveExit(VcpuId v)
     // vCPUs resident in the enclave keep theirs.
     cpu.tlb.flushDomain(id);
 
-    Mutex *lock = enclaveLock(id);
     {
-        MutexServicingGuard enclave_guard(*this, *lock, v,
-                                          LockRank::Enclave);
+        ServicingGuard enclave_guard(*this, *enclaveLock(id), v);
         if (enclave->activeVcpus > 0)
             --enclave->activeVcpus;
     }
@@ -491,8 +494,7 @@ SmpMonitor::hcEnclaveExit(VcpuId v)
 Status
 SmpMonitor::hcEnclaveRemove(VcpuId v, EnclaveId id)
 {
-    ExclusiveServicingGuard guard(*this, structuralLock, v,
-                                  LockRank::Structural);
+    ServicingGuard guard(*this, structuralLock, v);
     hv::Enclave *enclave = monitor().findEnclaveMutable(id);
     if (!enclave)
         return HvError::NoSuchEnclave;
@@ -519,8 +521,7 @@ SmpMonitor::hcEnclaveRemove(VcpuId v, EnclaveId id)
 Expected<hv::EnclaveReport>
 SmpMonitor::hcEnclaveReport(VcpuId v)
 {
-    SharedServicingGuard guard(*this, structuralLock, v,
-                               LockRank::Structural);
+    SharedServicingGuard guard(*this, structuralLock, v);
     return monitor().hcEnclaveReport(cpus[v]->arch);
 }
 
@@ -529,13 +530,10 @@ SmpMonitor::hcEnclaveEvictPage(VcpuId v, EnclaveId id, Gva page_gva)
 {
     Expected<hv::SealedBlob> blob = HvError::PermissionDenied;
     {
-        SharedServicingGuard guard(*this, structuralLock, v,
-                                   LockRank::Structural);
+        SharedServicingGuard guard(*this, structuralLock, v);
         if (cpus[v]->arch.mode != hv::CpuMode::GuestNormal)
             return HvError::PermissionDenied;
-        Mutex *lock = enclaveLock(id);
-        MutexServicingGuard enclave_guard(*this, *lock, v,
-                                          LockRank::Enclave);
+        ServicingGuard enclave_guard(*this, *enclaveLock(id), v);
         blob = monitor().hcEnclaveEvictPage(id, page_gva);
         if (!blob)
             return blob;
@@ -552,12 +550,10 @@ Status
 SmpMonitor::hcEnclaveReloadPage(VcpuId v, EnclaveId id,
                                 const hv::SealedBlob &blob)
 {
-    SharedServicingGuard guard(*this, structuralLock, v,
-                               LockRank::Structural);
+    SharedServicingGuard guard(*this, structuralLock, v);
     if (cpus[v]->arch.mode != hv::CpuMode::GuestNormal)
         return HvError::PermissionDenied;
-    Mutex *lock = enclaveLock(id);
-    MutexServicingGuard enclave_guard(*this, *lock, v, LockRank::Enclave);
+    ServicingGuard enclave_guard(*this, *enclaveLock(id), v);
     // A page still inside an in-flight batched shootdown must not be
     // re-established: a target vCPU that has not acked yet could keep a
     // cached translation of the *old* frame while the reload installs a
@@ -572,10 +568,8 @@ Status
 SmpMonitor::hcEnclaveAddPagesBatch(VcpuId v, EnclaveId id,
                                    const std::vector<hv::AddPageRequest> &reqs)
 {
-    SharedServicingGuard guard(*this, structuralLock, v,
-                               LockRank::Structural);
-    Mutex *lock = enclaveLock(id);
-    MutexServicingGuard enclave_guard(*this, *lock, v, LockRank::Enclave);
+    SharedServicingGuard guard(*this, structuralLock, v);
+    ServicingGuard enclave_guard(*this, *enclaveLock(id), v);
     return monitor().hcEnclaveAddPagesBatch(id, reqs, caches[v].get());
 }
 
@@ -587,13 +581,10 @@ SmpMonitor::hcEnclaveEvictPagesBatch(VcpuId v, EnclaveId id,
         HvError::PermissionDenied;
     std::vector<u64> vas;
     {
-        SharedServicingGuard guard(*this, structuralLock, v,
-                                   LockRank::Structural);
+        SharedServicingGuard guard(*this, structuralLock, v);
         if (cpus[v]->arch.mode != hv::CpuMode::GuestNormal)
             return HvError::PermissionDenied;
-        Mutex *lock = enclaveLock(id);
-        MutexServicingGuard enclave_guard(*this, *lock, v,
-                                          LockRank::Enclave);
+        ServicingGuard enclave_guard(*this, *enclaveLock(id), v);
         blobs = monitor().hcEnclaveEvictPagesBatch(id, gvas);
         if (!blobs)
             return blobs;
@@ -625,8 +616,7 @@ SmpMonitor::hcEnclaveSnapshot(VcpuId v, EnclaveId id,
         // Exclusive: with move semantics the enclave table changes
         // shape, and even a fork must freeze enter/exit while the
         // residency check and the fold run.
-        ExclusiveServicingGuard guard(*this, structuralLock, v,
-                                      LockRank::Structural);
+        ServicingGuard guard(*this, structuralLock, v);
         if (cpus[v]->arch.mode != hv::CpuMode::GuestNormal)
             return HvError::PermissionDenied;
         // The SMP-correct quiesce check: every vCPU in the table, not
@@ -658,8 +648,7 @@ SmpMonitor::hcEnclaveSnapshot(VcpuId v, EnclaveId id,
 Expected<EnclaveId>
 SmpMonitor::hcEnclaveRestoreImage(VcpuId v, const hv::EnclaveImage &image)
 {
-    ExclusiveServicingGuard guard(*this, structuralLock, v,
-                                  LockRank::Structural);
+    ServicingGuard guard(*this, structuralLock, v);
     if (cpus[v]->arch.mode != hv::CpuMode::GuestNormal)
         return HvError::PermissionDenied;
     // No shootdown: the restored enclave's mappings are all new, so no
@@ -677,13 +666,11 @@ SmpMonitor::osUnmapBatch(VcpuId v, const std::vector<u64> &vas)
         return okStatus();
     std::vector<u64> inval;
     {
-        SharedServicingGuard guard(*this, structuralLock, v,
-                                   LockRank::Structural);
+        SharedServicingGuard guard(*this, structuralLock, v);
         SmpVcpu &cpu = *cpus[v];
         if (cpu.arch.mode != hv::CpuMode::GuestNormal)
             return HvError::PermissionDenied;
-        ExclusiveServicingGuard pt_guard(*this, osPtLock, v,
-                                         LockRank::OsPt);
+        ServicingGuard pt_guard(*this, osPtLock, v);
         // Validate the whole batch before touching any entry: the OS
         // page table has no frame pressure on the unmap path, so unlike
         // the enclave batches nothing can fail after this point and
@@ -725,13 +712,11 @@ SmpMonitor::osProtectRoBatch(VcpuId v,
         return okStatus();
     std::vector<u64> inval;
     {
-        SharedServicingGuard guard(*this, structuralLock, v,
-                                   LockRank::Structural);
+        SharedServicingGuard guard(*this, structuralLock, v);
         SmpVcpu &cpu = *cpus[v];
         if (cpu.arch.mode != hv::CpuMode::GuestNormal)
             return HvError::PermissionDenied;
-        ExclusiveServicingGuard pt_guard(*this, osPtLock, v,
-                                         LockRank::OsPt);
+        ServicingGuard pt_guard(*this, osPtLock, v);
         std::set<u64> seen;
         for (const auto &[va, target] : elems) {
             (void)target;
@@ -774,13 +759,11 @@ Status
 SmpMonitor::osUnmap(VcpuId v, u64 va)
 {
     {
-        SharedServicingGuard guard(*this, structuralLock, v,
-                                   LockRank::Structural);
+        SharedServicingGuard guard(*this, structuralLock, v);
         SmpVcpu &cpu = *cpus[v];
         if (cpu.arch.mode != hv::CpuMode::GuestNormal)
             return HvError::PermissionDenied;
-        ExclusiveServicingGuard pt_guard(*this, osPtLock, v,
-                                         LockRank::OsPt);
+        ServicingGuard pt_guard(*this, osPtLock, v);
         if (auto st = mach.os().gptUnmap(Gpa(cpu.arch.gptRoot.value), va);
             !st)
             return st;
@@ -795,12 +778,11 @@ SmpMonitor::osUnmap(VcpuId v, u64 va)
 Status
 SmpMonitor::osMap(VcpuId v, u64 va, Gpa target)
 {
-    SharedServicingGuard guard(*this, structuralLock, v,
-                               LockRank::Structural);
+    SharedServicingGuard guard(*this, structuralLock, v);
     SmpVcpu &cpu = *cpus[v];
     if (cpu.arch.mode != hv::CpuMode::GuestNormal)
         return HvError::PermissionDenied;
-    ExclusiveServicingGuard pt_guard(*this, osPtLock, v, LockRank::OsPt);
+    ServicingGuard pt_guard(*this, osPtLock, v);
     return mach.os().gptMap(Gpa(cpu.arch.gptRoot.value), va, target,
                             hv::PteFlags::userRw());
 }
@@ -809,13 +791,11 @@ Status
 SmpMonitor::osProtectRo(VcpuId v, u64 va, Gpa target)
 {
     {
-        SharedServicingGuard guard(*this, structuralLock, v,
-                                   LockRank::Structural);
+        SharedServicingGuard guard(*this, structuralLock, v);
         SmpVcpu &cpu = *cpus[v];
         if (cpu.arch.mode != hv::CpuMode::GuestNormal)
             return HvError::PermissionDenied;
-        ExclusiveServicingGuard pt_guard(*this, osPtLock, v,
-                                         LockRank::OsPt);
+        ServicingGuard pt_guard(*this, osPtLock, v);
         const Gpa root = Gpa(cpu.arch.gptRoot.value);
         if (auto st = mach.os().gptUnmap(root, va); !st)
             return st;
@@ -832,8 +812,7 @@ SmpMonitor::osProtectRo(VcpuId v, u64 va, Gpa target)
 Status
 SmpMonitor::setGptRoot(VcpuId v, Hpa new_root)
 {
-    SharedServicingGuard guard(*this, structuralLock, v,
-                               LockRank::Structural);
+    SharedServicingGuard guard(*this, structuralLock, v);
     SmpVcpu &cpu = *cpus[v];
     if (cpu.arch.mode != hv::CpuMode::GuestNormal)
         return HvError::PermissionDenied;
@@ -846,8 +825,7 @@ SmpMonitor::setGptRoot(VcpuId v, Hpa new_root)
 Expected<Hpa>
 SmpMonitor::translate(VcpuId v, Gva va, bool is_write)
 {
-    SharedServicingGuard guard(*this, structuralLock, v,
-                               LockRank::Structural);
+    SharedServicingGuard guard(*this, structuralLock, v);
     SmpVcpu &cpu = *cpus[v];
     if (auto hit = cpu.tlb.lookup(cpu.arch.domain, va.value)) {
         if (!is_write || hit->writable)
@@ -865,8 +843,7 @@ SmpMonitor::translate(VcpuId v, Gva va, bool is_write)
     } else {
         // Normal-mode walks read guest-managed tables that osUnmap /
         // osMap / osProtectRo mutate under the exclusive side.
-        SharedServicingGuard pt_guard(*this, osPtLock, v,
-                                      LockRank::OsPt);
+        SharedServicingGuard pt_guard(*this, osPtLock, v);
         hpa = monitor().translateUncached(cpu.arch.gptRoot,
                                           cpu.arch.eptRoot, va, is_write);
     }
@@ -928,9 +905,8 @@ SmpMonitor::debugAcquireOutOfOrder(VcpuId v)
     // witness death test can prove the panic fires.  Never called by
     // the monitor itself; compiled only into witness builds.
     // hev-lint: allow lock-order
-    SharedServicingGuard pt_guard(*this, osPtLock, v, LockRank::OsPt);
-    SharedServicingGuard guard(*this, structuralLock, v,
-                               LockRank::Structural);
+    SharedServicingGuard pt_guard(*this, osPtLock, v);
+    SharedServicingGuard guard(*this, structuralLock, v);
 }
 #endif
 

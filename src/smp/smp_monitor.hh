@@ -9,15 +9,19 @@
  * unused here.  Hypercalls delegate to hv::Monitor for the isolation
  * logic but manage occupancy, contexts and TLBs per vCPU.
  *
- * Locking (acquire strictly in this order, release in any):
- *   1. structuralLock — shared for ordinary hypercalls and memory
- *      accesses, exclusive for enclave create/destroy (the enclave
- *      table itself changes shape).
- *   2. per-enclave mutex — serializes occupancy and add_page on one
- *      enclave; different enclaves proceed in parallel.
- *   3. osPtLock — exclusive for primary-OS page-table edits and guest
- *      pool operations, shared for normal-mode TLB-miss walks.
- *   4. shootdownLock — at most one shootdown in flight.
+ * Locking: HEV_SMP_LOCKS (lock_witness.hh) is the acquisition order;
+ * acquire strictly along it, release in any order.  What each lock is
+ * for, and why it is shared or exclusive:
+ *   - structuralLock — shared for ordinary hypercalls and memory
+ *     accesses, exclusive for enclave create/destroy (the enclave
+ *     table itself changes shape).
+ *   - per-enclave mutex — serializes occupancy and add_page on one
+ *     enclave; different enclaves proceed in parallel.
+ *   - osPtLock — exclusive for primary-OS page-table edits and guest
+ *     pool operations, shared for normal-mode TLB-miss walks.
+ *   - shootdownLock — at most one shootdown in flight.
+ *   - enclaveLocksTableLock, mailboxLock, inFlightPagesLock — short
+ *     leaf sections that never block on remote progress.
  * No lock is ever held across a shootdown's ack wait except
  * shootdownLock itself (and structuralLock during destroy), and every
  * blocking acquisition by a vCPU services that vCPU's own IPIs while
@@ -85,7 +89,7 @@ struct SmpVcpu
     std::map<EnclaveId, hv::RegFile> enclaveCtx;
 
     /** IPI mailbox: written by initiators, drained by the owner. */
-    Mutex mailboxLock;
+    Ranked<LockRank::Mailbox, Mutex> mailboxLock;
     std::vector<IpiRequest> mailbox HEV_GUARDED_BY(mailboxLock);
     /** Highest shootdown generation this vCPU has acked. */
     std::atomic<u64> ackGen{0};
@@ -349,68 +353,7 @@ class SmpMonitor
 #endif
 
   private:
-    /**
-     * Blocking acquisitions that keep servicing the acquiring vCPU's
-     * own IPIs while they spin — the software analogue of spinning
-     * with interrupts enabled (file header).  Scoped guards instead
-     * of raw lock/adopt pairs so Clang's thread-safety analysis sees
-     * the acquisition, and so the lock-order witness hooks ride the
-     * same RAII edges.  The spin bodies are try-lock loops the
-     * analysis cannot prove terminate holding the lock, so the
-     * definitions carry HEV_NO_THREAD_SAFETY_ANALYSIS; the ACQUIRE
-     * contract on the declarations is what callers are checked
-     * against.
-     */
-    class HEV_SCOPED_CAPABILITY ExclusiveServicingGuard
-    {
-      public:
-        ExclusiveServicingGuard(SmpMonitor &mon, SharedMutex &m,
-                                VcpuId v, LockRank rank)
-            HEV_ACQUIRE(m) HEV_NO_THREAD_SAFETY_ANALYSIS;
-        ~ExclusiveServicingGuard() HEV_RELEASE();
-
-        ExclusiveServicingGuard(const ExclusiveServicingGuard &) = delete;
-        ExclusiveServicingGuard &
-        operator=(const ExclusiveServicingGuard &) = delete;
-
-      private:
-        SharedMutex &mu;
-        [[maybe_unused]] LockRank rank;
-    };
-
-    class HEV_SCOPED_CAPABILITY SharedServicingGuard
-    {
-      public:
-        SharedServicingGuard(SmpMonitor &mon, SharedMutex &m, VcpuId v,
-                             LockRank rank)
-            HEV_ACQUIRE_SHARED(m) HEV_NO_THREAD_SAFETY_ANALYSIS;
-        ~SharedServicingGuard() HEV_RELEASE_GENERIC();
-
-        SharedServicingGuard(const SharedServicingGuard &) = delete;
-        SharedServicingGuard &
-        operator=(const SharedServicingGuard &) = delete;
-
-      private:
-        SharedMutex &mu;
-        [[maybe_unused]] LockRank rank;
-    };
-
-    class HEV_SCOPED_CAPABILITY MutexServicingGuard
-    {
-      public:
-        MutexServicingGuard(SmpMonitor &mon, Mutex &m, VcpuId v,
-                            LockRank rank)
-            HEV_ACQUIRE(m) HEV_NO_THREAD_SAFETY_ANALYSIS;
-        ~MutexServicingGuard() HEV_RELEASE();
-
-        MutexServicingGuard(const MutexServicingGuard &) = delete;
-        MutexServicingGuard &
-        operator=(const MutexServicingGuard &) = delete;
-
-      private:
-        Mutex &mu;
-        [[maybe_unused]] LockRank rank;
-    };
+    using EnclaveMutex = Ranked<LockRank::Enclave, Mutex>;
 
     /** Run the full shootdown protocol for one domain. */
     void shootdown(VcpuId initiator, hv::DomainId domain);
@@ -430,7 +373,7 @@ class SmpMonitor
      * id the monitor does not know gets the shared unknownEnclaveLock
      * instead, so the table only ever holds live enclaves.
      */
-    Mutex *enclaveLock(EnclaveId id);
+    EnclaveMutex *enclaveLock(EnclaveId id);
 
     /**
      * Drop the SMP-side state of a torn-down enclave: every vCPU's
@@ -444,36 +387,31 @@ class SmpMonitor
     std::vector<std::unique_ptr<SmpVcpu>> cpus;
     std::vector<std::unique_ptr<CpuFrameCache>> caches;
 
-    // The lock hierarchy, declared to the compiler.  The
-    // HEV_ACQUIRED_AFTER edges below ARE the authoritative DAG:
-    // tools/hev_lint.py parses them, checks them for cycles, and then
-    // checks every acquisition site in src/smp against the resulting
-    // order; the runtime witness (lock_witness.hh) asserts the same
-    // order thread-locally in HEV_LOCK_WITNESS builds.
+    // The locks, each typed with its HEV_SMP_LOCKS rank.
 
-    /** Lock 1: enclave-table shape (see file header). */
-    SharedMutex structuralLock;
+    /** Enclave-table shape (see file header). */
+    Ranked<LockRank::Structural, SharedMutex> structuralLock;
     /** Guards the enclaveLocks table itself (held only inside
      *  enclaveLock, never across another acquisition). */
-    mutable Mutex enclaveLocksTableLock
-        HEV_ACQUIRED_AFTER(structuralLock);
-    /** Lock 2 lives in enclaveLocks, one mutex per live enclave; the
-     *  map itself is guarded, the pointed-to mutexes are capabilities
-     *  of their own (acquired after enclaveLocksTableLock releases). */
-    std::map<EnclaveId, std::unique_ptr<Mutex>> enclaveLocks
+    mutable Ranked<LockRank::EnclaveTable, Mutex> enclaveLocksTableLock;
+    /** One mutex per live enclave; the map itself is guarded, the
+     *  pointed-to mutexes are capabilities of their own (acquired
+     *  after enclaveLocksTableLock releases). */
+    std::map<EnclaveId, std::unique_ptr<EnclaveMutex>> enclaveLocks
         HEV_GUARDED_BY(enclaveLocksTableLock);
-    /** Lock 2 for ids the monitor does not know (they fail at once). */
-    Mutex unknownEnclaveLock;
-    /** Lock 3: primary-OS page tables and guest page pool. */
-    SharedMutex osPtLock HEV_ACQUIRED_AFTER(structuralLock);
-    /** Lock 4: one shootdown in flight at a time. */
-    Mutex shootdownLock HEV_ACQUIRED_AFTER(structuralLock, osPtLock);
+    /** The per-enclave mutex for ids the monitor does not know (they
+     *  fail at once). */
+    EnclaveMutex unknownEnclaveLock;
+    /** Primary-OS page tables and guest page pool. */
+    Ranked<LockRank::OsPt, SharedMutex> osPtLock;
+    /** One shootdown in flight at a time. */
+    Ranked<LockRank::Shootdown, Mutex> shootdownLock;
 
     std::atomic<u64> epoch{0};
     /** Domain+1 of the in-flight shootdown; 0 = none. */
     std::atomic<u64> inFlightDomainPlus1{0};
     /** Guards inFlightPageVas; a leaf: nothing is acquired under it. */
-    mutable Mutex inFlightPagesLock HEV_ACQUIRED_AFTER(shootdownLock);
+    mutable Ranked<LockRank::InFlightPages, Mutex> inFlightPagesLock;
     /** Page vas of the in-flight batched shootdown (empty when none or
      *  when the in-flight shootdown is a whole-domain flush). */
     std::set<u64> inFlightPageVas HEV_GUARDED_BY(inFlightPagesLock);

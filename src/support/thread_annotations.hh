@@ -24,10 +24,10 @@
  *      RAII guards TSA understands (std::lock_guard is likewise
  *      opaque to it).
  *
- * The static lock-order DAG itself is declared at the lock members
- * with HEV_ACQUIRED_AFTER; tools/hev_lint.py parses exactly those
- * declarations, so the compile-time discipline and the lint-time DAG
- * can never drift apart (docs/ANALYSIS.md).
+ * The lock *order* is not declared here: HEV_SMP_LOCKS
+ * (smp/lock_witness.hh) states it once, each SMP lock carries its rank
+ * in its type, and tools/hev_lint.py and the runtime witness check
+ * acquisitions against that list (docs/ANALYSIS.md).
  */
 
 #ifndef HEV_SUPPORT_THREAD_ANNOTATIONS_HH
@@ -55,14 +55,6 @@
 
 /** Pointer field: the pointee is guarded by the named capability. */
 #define HEV_PT_GUARDED_BY(x) HEV_THREAD_ANNOTATION(pt_guarded_by(x))
-
-/** Lock member: must be acquired after the listed locks. */
-#define HEV_ACQUIRED_AFTER(...) \
-    HEV_THREAD_ANNOTATION(acquired_after(__VA_ARGS__))
-
-/** Lock member: must be acquired before the listed locks. */
-#define HEV_ACQUIRED_BEFORE(...) \
-    HEV_THREAD_ANNOTATION(acquired_before(__VA_ARGS__))
 
 /** Function: caller must hold the capabilities exclusively. */
 #define HEV_REQUIRES(...) \

@@ -1,11 +1,4 @@
-// Fixture: rank table matching the mini monitor below.
-#ifndef FIXTURE_LOCK_WITNESS_HH
-#define FIXTURE_LOCK_WITNESS_HH
-
-enum class LockRank : unsigned
-{
-    Structural = 10,
-    Shootdown = 40,
-};
-
-#endif
+// Fixture: a two-lock order for the mini monitor below.
+#define HEV_SMP_LOCKS(X) \
+    X(Structural, structuralLock) \
+    X(Shootdown, shootdownLock)

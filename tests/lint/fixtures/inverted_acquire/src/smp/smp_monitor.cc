@@ -1,15 +1,15 @@
-// Fixture: badPath() nests the guards backwards — Structural (rank 10)
-// is acquired while the Shootdown guard (rank 40) is still live.
+// Fixture: badPath() nests the guards backwards — structuralLock is
+// acquired while the shootdownLock guard is still live.
 #include "smp/smp_monitor.hh"
 
 void SmpMonitor_goodPath(SmpMonitor &mon, unsigned v)
 {
-    SharedServicingGuard guard(mon, v, LockRank::Structural);
-    MutexServicingGuard down(mon, v, LockRank::Shootdown);
+    SharedServicingGuard guard(mon, mon.structuralLock, v);
+    ServicingGuard down(mon, mon.shootdownLock, v);
 }
 
 void SmpMonitor_badPath(SmpMonitor &mon, unsigned v)
 {
-    MutexServicingGuard down(mon, v, LockRank::Shootdown);
-    SharedServicingGuard guard(mon, v, LockRank::Structural); // planted
+    ServicingGuard down(mon, mon.shootdownLock, v);
+    SharedServicingGuard guard(mon, mon.structuralLock, v); // planted
 }

@@ -10,6 +10,7 @@
 
 #include "hv/hv_invariants.hh"
 #include "migrate_test_util.hh"
+#include "obs/stats.hh"
 
 namespace hev::hv
 {
@@ -270,6 +271,28 @@ TEST(SnapshotRestore, FailedRestoreLeavesNoTrace)
     EXPECT_TRUE(fits);
 }
 
+TEST(SnapshotRestore, FailedRestoreIsNotCountedAsCreated)
+{
+    Machine src(smallConfig());
+    auto enclave = src.setupEnclave(elStart, 40, 1, 0x7a77);
+    ASSERT_TRUE(enclave);
+    auto image = src.monitor().hcEnclaveSnapshot(enclave->id,
+                                                 SnapshotMode::Fork);
+    ASSERT_TRUE(image);
+    ASSERT_EQ(image->pages.size(), 41u);
+
+    Machine dst(tinyEpcConfig(16));
+    const auto created = [] {
+        return obs::snapshotStats().counters["hv.enclaves_created"];
+    };
+    const u64 counter_before = created();
+    auto twin = dst.monitor().hcEnclaveRestoreImage(*image);
+    ASSERT_FALSE(twin);
+    EXPECT_EQ(twin.error(), HvError::OutOfEpc);
+    EXPECT_EQ(dst.monitor().stats().enclavesCreated, 0u);
+    EXPECT_EQ(created(), counter_before);
+}
+
 TEST(SnapshotRestore, RestoredTwinSurvivesTheInvariantSweep)
 {
     Machine src(smallConfig());
@@ -280,6 +303,7 @@ TEST(SnapshotRestore, RestoredTwinSurvivesTheInvariantSweep)
                                                  SnapshotMode::Move);
     ASSERT_TRUE(image);
     ASSERT_TRUE(dst.monitor().hcEnclaveRestoreImage(*image));
+    EXPECT_EQ(dst.monitor().stats().enclavesCreated, 1u);
     EXPECT_TRUE(checkMonitorInvariants(src.monitor()).empty());
     EXPECT_TRUE(checkMonitorInvariants(dst.monitor()).empty());
 }

@@ -56,8 +56,8 @@ TEST_F(LockWitnessTest, ReleaseInAnyOrderIsAccepted)
 
 TEST_F(LockWitnessTest, SkippingTiersIsAccepted)
 {
-    // Ranks must increase, not be contiguous: shootdown() takes rank 40
-    // while holding nothing at all.
+    // Ranks must increase, not be contiguous: shootdown() takes
+    // shootdownLock while holding nothing at all.
     LockWitness::acquire(LockRank::Shootdown);
     LockWitness::acquire(LockRank::InFlightPages);
     LockWitness::release(LockRank::InFlightPages);
@@ -77,11 +77,8 @@ TEST_F(LockWitnessTest, WitnessScopePairsAcquireAndRelease)
 
 TEST_F(LockWitnessTest, EveryRankHasAName)
 {
-    for (const LockRank rank :
-         {LockRank::Structural, LockRank::EnclaveTable, LockRank::Enclave,
-          LockRank::OsPt, LockRank::Shootdown, LockRank::Mailbox,
-          LockRank::InFlightPages})
-        EXPECT_STRNE(lockRankName(rank), "unknown");
+    for (u32 r = 0; r < lockRankCount; ++r)
+        EXPECT_STRNE(lockRankName(LockRank(r)), "unknown");
 }
 
 using LockWitnessDeathTest = LockWitnessTest;
@@ -91,9 +88,11 @@ TEST_F(LockWitnessDeathTest, InvertedAcquisitionPanicsNamingBothLocks)
     LockWitness::acquire(LockRank::Shootdown);
     // The panic must name the lock being acquired *and* the held lock
     // that outranks it — a bare abort would leave the hierarchy hunt
-    // to a debugger.
+    // to a debugger — and then the whole HEV_SMP_LOCKS order.
     EXPECT_DEATH(LockWitness::acquire(LockRank::Structural),
-                 "lock-order violation.*structuralLock.*shootdownLock");
+                 "lock-order violation: acquiring structuralLock while "
+                 "holding shootdownLock; the hierarchy is structuralLock "
+                 "-> enclaveLocksTableLock -> .* -> inFlightPagesLock");
 }
 
 TEST_F(LockWitnessDeathTest, SameRankReacquisitionPanics)
@@ -121,7 +120,8 @@ TEST_F(LockWitnessDeathTest, MonitorGuardsCarryTheHooks)
     // the machinery, this proves the wiring.
     SmpMonitor smp(test::smallConfig(1));
     EXPECT_DEATH(smp.debugAcquireOutOfOrder(0),
-                 "lock-order violation.*structuralLock.*osPtLock");
+                 "lock-order violation: acquiring structuralLock while "
+                 "holding osPtLock");
 }
 
 TEST_F(LockWitnessTest, MonitorHypercallsSatisfyTheWitness)

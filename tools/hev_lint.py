@@ -8,11 +8,10 @@ sees together, so they must not drift:
                  matching specHcXxx in src/ccal/specs.hh (and vice
                  versa); Enter/Exit/Report are vCPU-local and have no
                  flat-spec counterpart by design.
-  lock-dag       the HEV_ACQUIRED_AFTER declarations in
-                 src/smp/smp_monitor.hh form an acyclic graph consistent
-                 with the LockRank order (src/smp/lock_witness.hh), and
-                 no acquisition site in src/smp/*.cc constructs a guard
-                 of lower-or-equal rank inside a live higher one.
+  lock-order     every guard construction in src/smp/*.cc names a lock
+                 from HEV_SMP_LOCKS (src/smp/lock_witness.hh, the one
+                 declaration of the lock order), and none acquires a
+                 lock at or before one whose guard is still live.
 
 Fuzz-op and HvError parity are compile-time facts, not lint checks:
 each list is declared once as an X-macro (HEV_FUZZ_OPS in
@@ -138,176 +137,55 @@ def check_spec_parity(root):
 
 
 # --------------------------------------------------------------------------
-# Check 2: lock-order DAG and acquisition sites
+# Check 2: lock order at acquisition sites
 # --------------------------------------------------------------------------
 
-
-def parse_lock_decls(text):
-    """[(lock, [predecessors])] from HEV_ACQUIRED_AFTER declarations.
-
-    Matches across line breaks: `mutable Mutex name\n    HEV_ACQUIRED_
-    AFTER(a, b);` is one declaration.
-    """
-    clean = strip_comments(text)
-    decls = []
-    seen = set()
-    for m in re.finditer(
-        r"\b(?:Mutex|SharedMutex)\s+(\w+)(?:\s+HEV_ACQUIRED_AFTER\s*"
-        r"\(([^)]*)\))?\s*;",
-        clean,
-    ):
-        name = m.group(1)
-        preds = (
-            [p.strip() for p in m.group(2).split(",") if p.strip()]
-            if m.group(2)
-            else []
-        )
-        decls.append((name, preds))
-        seen.add(name)
-    return decls, seen
-
-
-def find_cycle(edges):
-    """Return one cycle as a list of nodes, or None if the graph is a DAG."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {}
-    stack = []
-
-    def visit(node):
-        color[node] = GRAY
-        stack.append(node)
-        for succ in edges.get(node, ()):
-            state = color.get(succ, WHITE)
-            if state == GRAY:
-                return stack[stack.index(succ):] + [succ]
-            if state == WHITE:
-                cycle = visit(succ)
-                if cycle:
-                    return cycle
-        stack.pop()
-        color[node] = BLACK
-        return None
-
-    for node in list(edges):
-        if color.get(node, WHITE) == WHITE:
-            cycle = visit(node)
-            if cycle:
-                return cycle
-    return None
-
-
-def parse_rank_values(root):
-    """{rank-name: numeric} from the LockRank enum, if present."""
-    text = read(root, "src/smp/lock_witness.hh")
-    if text is None:
-        return None
-    clean = strip_comments(text)
-    m = re.search(r"enum\s+class\s+LockRank[^{]*\{(.*?)\}", clean, re.S)
-    if not m:
-        return None
-    values = {}
-    nxt = 0
-    for entry in m.group(1).split(","):
-        entry = entry.strip()
-        if not entry:
-            continue
-        em = re.match(r"(\w+)\s*(?:=\s*(\d+))?", entry)
-        if not em:
-            continue
-        if em.group(2) is not None:
-            nxt = int(em.group(2))
-        values[em.group(1)] = nxt
-        nxt += 1
-    return values
-
-
-def parse_rank_names(root):
-    """{lock-member-name: rank-name} from lockRankName()'s switch."""
-    text = read(root, "src/smp/lock_witness.cc")
-    if text is None:
-        return None
-    pairs = re.findall(
-        r'case\s+LockRank::(\w+)\s*:\s*return\s+"(\w+)"', text
-    )
-    return {lock: rank for rank, lock in pairs}
-
-
-def check_lock_dag(root):
-    violations = []
-    monitor = read(root, "src/smp/smp_monitor.hh")
-    if monitor is None:
-        return violations, False
-    decls, lock_names = parse_lock_decls(monitor)
-
-    edges = {}
-    for lock, preds in decls:
-        for pred in preds:
-            if pred not in lock_names:
-                violations.append(
-                    (
-                        "lock-dag",
-                        "src/smp/smp_monitor.hh",
-                        "%s declared HEV_ACQUIRED_AFTER(%s) but no such "
-                        "lock member exists" % (lock, pred),
-                    )
-                )
-            edges.setdefault(pred, []).append(lock)
-            edges.setdefault(lock, [])
-
-    cycle = find_cycle(edges)
-    if cycle:
-        violations.append(
-            (
-                "lock-dag",
-                "src/smp/smp_monitor.hh",
-                "HEV_ACQUIRED_AFTER declarations form a cycle: %s"
-                % " -> ".join(cycle),
-            )
-        )
-
-    # Rank consistency: every declared edge must go strictly uphill in
-    # the witness's numbering, or the three enforcement layers disagree.
-    ranks = parse_rank_values(root)
-    names = parse_rank_names(root)
-    if ranks is not None and names is not None and not cycle:
-        def rank_of(lock):
-            rank_name = names.get(lock)
-            return ranks.get(rank_name) if rank_name else None
-
-        for lock, preds in decls:
-            for pred in preds:
-                lr, pr = rank_of(lock), rank_of(pred)
-                if lr is not None and pr is not None and lr <= pr:
-                    violations.append(
-                        (
-                            "lock-dag",
-                            "src/smp/lock_witness.hh",
-                            "LockRank order contradicts the DAG: %s "
-                            "(rank %d) is HEV_ACQUIRED_AFTER %s "
-                            "(rank %d)" % (lock, lr, pred, pr),
-                        )
-                    )
-
-        violations.extend(check_acquisition_sites(root, ranks))
-    return violations, True
-
-
+# The body of `#define HEV_SMP_LOCKS(X)`, one X(Rank, memberName) entry
+# per lock in acquisition order.
+LOCKS_RE = re.compile(r"#define\s+HEV_SMP_LOCKS\(X\)((?:.*\\\n)*.*)")
+ENTRY_RE = re.compile(r"\bX\(\s*\w+\s*,\s*(\w+)\s*\)")
 GUARD_RE = re.compile(
-    r"\b(?:ExclusiveServicingGuard|SharedServicingGuard|"
-    r"MutexServicingGuard|WitnessedGuard)\s+\w+\s*\("
+    r"\b(?:(?:Shared)?ServicingGuard|WitnessedGuard)\s+\w+\s*\("
 )
-RANK_RE = re.compile(r"LockRank::(\w+)")
 SUPPRESS = "hev-lint: allow lock-order"
 
 
-def check_acquisition_sites(root, ranks):
-    """Scan src/smp/*.cc guard constructions for rank inversions.
+def parse_lock_order(root):
+    """Lock member names in HEV_SMP_LOCKS order; None without the file."""
+    text = read(root, "src/smp/lock_witness.hh")
+    if text is None:
+        return None
+    m = LOCKS_RE.search(strip_comments(text))
+    return ENTRY_RE.findall(m.group(1)) if m else []
 
+
+def check_lock_order(root):
+    order = parse_lock_order(root)
+    if order is None:
+        return [], False
+    if not order:
+        return [
+            (
+                "lock-order",
+                "src/smp/lock_witness.hh",
+                "no HEV_SMP_LOCKS(X) list to rank guards against",
+            )
+        ], True
+    return check_acquisition_sites(root, order), True
+
+
+def check_acquisition_sites(root, order):
+    """Scan src/smp/*.cc guard constructions against the lock order.
+
+    A guard's rank is the position in HEV_SMP_LOCKS of the lock member
+    its argument list names; a guard naming none is a violation.
     Brace-depth tracking keeps a stack of live guards per function; a
     new guard whose rank is <= a live one is an inversion.  Guard
     statements can span lines, so lines are joined until parens
     balance.
     """
+    rank = {member: i for i, member in enumerate(order)}
+    member_re = re.compile(r"\b(%s)\b" % "|".join(order))
     violations = []
     smp_dir = os.path.join(root, "src/smp")
     if not os.path.isdir(smp_dir):
@@ -320,7 +198,7 @@ def check_acquisition_sites(root, ranks):
         raw = read(root, rel)
         suppress_depths = set()
         depth = 0
-        live = []  # (depth-at-construction, rank-name, line)
+        live = []  # (depth-at-construction, lock member, line)
         pending = ""
         pending_line = 0
         for lineno, (line, raw_line) in enumerate(
@@ -339,29 +217,31 @@ def check_acquisition_sites(root, ranks):
                 # Still track braces on the raw line below.
                 m = None
             if m:
-                rm = RANK_RE.search(line, m.end() - 1)
-                if rm and rm.group(1) in ranks:
-                    rank = ranks[rm.group(1)]
+                lm = member_re.search(line[m.end():].split(";")[0])
+                if not lm:
+                    violations.append(
+                        (
+                            "lock-order",
+                            rel,
+                            "line %d constructs a guard whose lock is no "
+                            "HEV_SMP_LOCKS member" % lineno,
+                        )
+                    )
+                else:
+                    lock = lm.group(1)
                     if not any(d <= depth for d in suppress_depths):
                         for _, prior, prior_line in live:
-                            if ranks[prior] >= rank:
+                            if rank[prior] >= rank[lock]:
                                 violations.append(
                                     (
-                                        "lock-dag",
+                                        "lock-order",
                                         rel,
-                                        "line %d acquires %s (rank %d) "
-                                        "while a rank-%d guard from "
-                                        "line %d is live"
-                                        % (
-                                            lineno,
-                                            rm.group(1),
-                                            rank,
-                                            ranks[prior],
-                                            prior_line,
-                                        ),
+                                        "line %d acquires %s while %s "
+                                        "from line %d is live"
+                                        % (lineno, lock, prior, prior_line),
                                     )
                                 )
-                    live.append((depth, rm.group(1), lineno))
+                    live.append((depth, lock, lineno))
             for c in line if not pending else "":
                 if c == "{":
                     depth += 1
@@ -382,7 +262,7 @@ def check_acquisition_sites(root, ranks):
 
 CHECKS = (
     ("spec-parity", check_spec_parity),
-    ("lock-dag", check_lock_dag),
+    ("lock-order", check_lock_order),
 )
 
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Run every static check the environment supports:
 #
-#   1. tools/hev_lint.py      — hypercall/spec parity + lock DAG (always;
+#   1. tools/hev_lint.py      — hypercall/spec parity + acquisition
+#                               sites against HEV_SMP_LOCKS (always;
 #                               pure python3).
 #   2. clang-tidy             — .clang-tidy profile over src/, if a
 #                               compile database and clang-tidy exist.
@@ -25,7 +26,7 @@ failed=0
 say() { printf '%s\n' "$*"; }
 
 # ---- 1. cross-layer parity (portable floor) -------------------------------
-say "== hev-lint (hypercall/spec parity, lock DAG) =="
+say "== hev-lint (hypercall/spec parity, lock order) =="
 if python3 "$repo/tools/hev_lint.py" --root "$repo" --require-all; then
     say "hev-lint: OK"
 else
