@@ -36,23 +36,13 @@ Epcm::indexOf(Hpa hpa) const
 Expected<Hpa>
 Epcm::allocPage(EnclaveId owner, Gva lin_addr, EpcPageState state)
 {
-    if (owner == invalidEnclave || state == EpcPageState::Free)
-        return HvError::InvalidParam;
-    MutexGuard guard(lock);
     // First fit, deliberately: the functional spec (specEpcmAlloc) and
     // the MIR model (epcm_alloc) both scan from index 0, and the
     // conformance oracles compare the tables index-aligned.  A
     // rotating hint would hand reload_page a different frame than the
     // one evict_page freed and silently break that alignment.
-    const u64 n = table.size();
-    for (u64 idx = 0; idx < n; ++idx) {
-        if (table[idx].state == EpcPageState::Free) {
-            table[idx] = {state, owner, lin_addr};
-            --freeCount;
-            return epcRange.start + idx * pageSize;
-        }
-    }
-    return HvError::OutOfEpc;
+    u64 scan_from_start = 0;
+    return allocPage(owner, lin_addr, state, scan_from_start);
 }
 
 Expected<Hpa>

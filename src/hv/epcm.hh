@@ -56,7 +56,8 @@ class Epcm
     bool isEpc(Hpa hpa) const { return epcRange.contains(hpa); }
 
     /**
-     * Allocate a free EPC page for an enclave.
+     * Allocate a free EPC page for an enclave: first fit from index 0,
+     * i.e. the hinted overload with a hint of 0.
      *
      * @param owner owning enclave; must not be invalidEnclave.
      * @param lin_addr enclave-linear address the page will back.

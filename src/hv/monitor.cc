@@ -28,9 +28,7 @@ measureStep(u64 acc, u64 word)
  * throughput, and splitting the words across independent lanes that
  * re-join the chain in fixed order keeps every word feeding exactly
  * one multiply chain (any bit flip still changes the result) while
- * letting the CPU overlap the multiplies.  Both the single add_page
- * call and the batched path share this helper, so batch ≡ fold holds
- * over the measurement by construction.
+ * letting the CPU overlap the multiplies.
  */
 u64
 measurePage(u64 acc, u64 page_gva, const u64 *words)
@@ -349,21 +347,21 @@ Monitor::mapMarshallingBuffer(Enclave &enclave)
 Expected<EnclaveId>
 Monitor::hcEnclaveInit(const EnclaveConfig &config)
 {
+    HypercallScope scope(statCounters, "hc_enclave_init", nextEnclaveId);
     auto id = initEnclave(config);
-    if (id) {
-        ++statCounters.enclavesCreated;
-        statEnclavesCreated.inc();
-    }
+    if (!id)
+        return scope.fail(id.error());
+    ++statCounters.enclavesCreated;
+    statEnclavesCreated.inc();
     return id;
 }
 
 Expected<EnclaveId>
 Monitor::initEnclave(const EnclaveConfig &config)
 {
-    HypercallScope scope(statCounters, "hc_enclave_init", nextEnclaveId);
     auto id = validateInitConfig(config);
     if (!id)
-        return scope.fail(id.error());
+        return id.error();
 
     auto gpt = PageTable::create(physMem, frameAlloc);
     if (!gpt)
@@ -394,7 +392,7 @@ Monitor::initEnclave(const EnclaveConfig &config)
     if (auto st = mapMarshallingBuffer(enclave); !st) {
         (void)gpt->destroy();
         (void)ept->destroy();
-        return scope.fail(st.error());
+        return st.error();
     }
 
     enclaves.emplace(*id, enclave);
@@ -406,75 +404,144 @@ Monitor::initEnclave(const EnclaveConfig &config)
     return *id;
 }
 
-Status
-Monitor::hcEnclaveAddPage(EnclaveId id, Gva page_gva, Gpa src,
-                          AddPageKind kind, FrameSource *frames)
+Monitor::PageRun::PageRun(PhysMem &mem, FrameSource &frames,
+                          const Enclave &enclave)
+    : gpt(mem, &frames, enclave.gptRoot), ept(mem, &frames, enclave.eptRoot)
 {
-    HypercallScope scope(statCounters, "hc_enclave_add_page", id);
-    FrameSource &tableFrames = frames ? *frames : frameAlloc;
-    Enclave *enclave = findEnclaveMutable(id);
-    if (!enclave)
-        return scope.fail(HvError::NoSuchEnclave);
-    if (enclave->state != EnclaveState::Adding)
-        return scope.fail(HvError::BadEnclaveState);
-    if (!page_gva.pageAligned() || src.value % pageSize != 0)
-        return scope.fail(HvError::NotAligned);
+}
+
+Expected<Monitor::PlacedPage>
+Monitor::installPage(PageRun &run, EnclaveId owner, Gva gva, u64 gpa_slot,
+                     Gva epcm_lin_addr, AddPageKind kind, PteFlags ept_flags)
+{
+    // Map GPT, allocate EPC, map EPT: the abstract machine allocates in
+    // this order too, so its EPCM stays index-aligned with ours.
+    if (auto st = run.gpt.map(gva.value, gpa_slot, PteFlags::userRw(),
+                              run.gptCursor); !st)
+        return st.error();
+    auto epc_page = epcMap.allocPage(owner, epcm_lin_addr,
+                                     kind == AddPageKind::Tcs
+                                         ? EpcPageState::Tcs
+                                         : EpcPageState::Reg,
+                                     run.epcHint);
+    if (!epc_page) {
+        (void)run.gpt.unmap(gva.value, run.gptCursor);
+        return epc_page.error();
+    }
+    if (auto st = run.ept.map(gpa_slot, epc_page->value, ept_flags,
+                              run.eptCursor); !st) {
+        (void)run.gpt.unmap(gva.value, run.gptCursor);
+        (void)epcMap.freePage(*epc_page);
+        return st.error();
+    }
+    return PlacedPage{gva.value, gpa_slot, *epc_page};
+}
+
+void
+Monitor::releasePage(PageRun &run, const PlacedPage &page)
+{
+    (void)run.gpt.unmap(page.gva, run.gptCursor);
+    (void)run.ept.unmap(page.gpaSlot, run.eptCursor);
+    scrubPage(page.epcPage);
+    (void)epcMap.freePage(page.epcPage);
+}
+
+Expected<Monitor::ResidentPage>
+Monitor::lookupPage(const PageRun &run, EnclaveId id, Gva gva) const
+{
+    auto stage1 = run.gpt.query(gva.value);
+    if (!stage1)
+        return HvError::NotMapped;
+    const u64 gpa_slot = stage1->physAddr & ~(pageSize - 1);
+    auto stage2 = run.ept.query(gpa_slot);
+    if (!stage2)
+        return HvError::NotMapped;
+    const Hpa epc_page = Hpa(stage2->physAddr & ~(pageSize - 1));
+    if (!epcMap.isEpc(epc_page))
+        return HvError::IsolationViolation;
+    const EpcmEntry entry = epcMap.entryFor(epc_page);
+    if (entry.state == EpcPageState::Free || entry.owner != id)
+        return HvError::IsolationViolation;
+    return ResidentPage{{gva.value, gpa_slot, epc_page},
+                        stage1->flags, stage2->flags, entry};
+}
+
+void
+Monitor::sealPage(SealedBlob &blob, const ResidentPage &page,
+                  u64 version) const
+{
+    blob.owner = page.entry.owner;
+    blob.gva = Gva(page.gva);
+    blob.kind = page.entry.state == EpcPageState::Tcs ? AddPageKind::Tcs
+                                                      : AddPageKind::Reg;
+    blob.gpaSlot = Gpa(page.gpaSlot);
+    blob.version = version;
+    std::memcpy(blob.words.data(), physMem.pageWords(page.epcPage),
+                pageSize);
+    blob.mac = sealMac(blob);
+}
+
+Expected<Monitor::PlacedPage>
+Monitor::placeBlob(PageRun &run, EnclaveId id, const SealedBlob &blob)
+{
+    // Blob words land straight in the EPC frame, never staged through
+    // normal memory the OS could observe.
+    auto page = installPage(run, id, blob.gva, blob.gpaSlot.value, blob.gva,
+                            blob.kind, PteFlags::userRw());
+    if (page)
+        std::memcpy(physMem.pageWordsMut(page->epcPage), blob.words.data(),
+                    pageSize);
+    return page;
+}
+
+Expected<Monitor::PlacedPage>
+Monitor::placeAddedPage(PageRun &run, const Enclave &enclave,
+                        const AddPageRequest &req)
+{
+    // Validation in fold order, so a batch reports exactly the error
+    // the failing single call would raise.
+    if (!req.gva.pageAligned() || req.src.value % pageSize != 0)
+        return HvError::NotAligned;
     // Enclave invariant: EPC pages appear exactly at ELRANGE addresses.
     const bool gva_in_elrange =
         cfg.planted.elrangeOffByOne
-            ? page_gva.value >= enclave->cfg.elrange.start.value &&
-                  page_gva.value <= enclave->cfg.elrange.end.value
-            : enclave->cfg.elrange.contains(page_gva);
+            ? req.gva.value >= enclave.cfg.elrange.start.value &&
+                  req.gva.value <= enclave.cfg.elrange.end.value
+            : enclave.cfg.elrange.contains(req.gva);
     if (!gva_in_elrange)
-        return scope.fail(HvError::IsolationViolation);
-    const HpaRange src_range = {Hpa(src.value),
-                                Hpa(src.value + pageSize)};
+        return HvError::IsolationViolation;
+    const HpaRange src_range = {Hpa(req.src.value),
+                                Hpa(req.src.value + pageSize)};
     if (!cfg.layout.normalRange().containsRange(src_range))
-        return scope.fail(HvError::IsolationViolation);
+        return HvError::IsolationViolation;
 
-    PageTable gpt(physMem, &tableFrames, enclave->gptRoot);
-    PageTable ept(physMem, &tableFrames, enclave->eptRoot);
+    return installPage(
+        run, enclave.id, req.gva,
+        enclaveEpcGpaBase + enclave.addedPages * pageSize,
+        cfg.planted.skipEpcmOwnerCheck ? Gva(0) : req.gva, req.kind,
+        cfg.planted.wrongPermMask ? PteFlags::userRo() : PteFlags::userRw());
+}
 
-    const u64 gpa = enclaveEpcGpaBase + enclave->addedPages * pageSize;
-    if (auto st = gpt.map(page_gva.value, gpa, PteFlags::userRw()); !st)
-        return scope.fail(st.error());
-
-    auto epc_page = epcMap.allocPage(
-        id, cfg.planted.skipEpcmOwnerCheck ? Gva(0) : page_gva,
-        kind == AddPageKind::Tcs ? EpcPageState::Tcs : EpcPageState::Reg);
-    if (!epc_page) {
-        (void)gpt.unmap(page_gva.value);
-        return scope.fail(epc_page.error());
-    }
-
-    const PteFlags epc_flags = cfg.planted.wrongPermMask
-                                   ? PteFlags::userRo()
-                                   : PteFlags::userRw();
-    if (auto st = ept.map(gpa, epc_page->value, epc_flags); !st) {
-        (void)gpt.unmap(page_gva.value);
-        (void)epcMap.freePage(*epc_page);
-        return scope.fail(st.error());
-    }
-
-    // Copy the initial contents out of normal memory and fold them into
-    // the measurement.
-    physMem.copyPage(*epc_page, Hpa(src.value));
-    enclave->measurement = measurePage(enclave->measurement,
-                                      page_gva.value,
-                                      physMem.pageWords(*epc_page));
-
-    if (kind == AddPageKind::Tcs) {
-        if (enclave->tcsPages == 0)
-            enclave->entryPoint = physMem.read(*epc_page);
-        ++enclave->tcsPages;
+void
+Monitor::measureAddedPage(PageRun &run, Enclave &enclave,
+                          const AddPageRequest &req, Hpa epc_page)
+{
+    const u64 *words = physMem.pageWords(epc_page);
+    enclave.measurement = measurePage(enclave.measurement, req.gva.value,
+                                      words);
+    if (req.kind == AddPageKind::Tcs) {
+        if (enclave.tcsPages == 0)
+            enclave.entryPoint = words[0];
+        ++enclave.tcsPages;
     }
     if (cfg.planted.frameDoubleFree) {
         // Planted bug: hand the leaf GPT table frame back to the
         // allocator while the tree still points at it.  The next table
         // allocation zeroes it in place under the live mapping.
-        Hpa table = enclave->gptRoot;
+        Hpa table = enclave.gptRoot;
         for (int level = pagingLevels; level >= 2; --level) {
-            const Pte entry = gpt.entryAt(table, page_gva.tableIndex(level));
+            const Pte entry =
+                run.gpt.entryAt(table, req.gva.tableIndex(level));
             if (!entry.present() || entry.huge())
                 break;
             table = Hpa(entry.addr());
@@ -482,8 +549,47 @@ Monitor::hcEnclaveAddPage(EnclaveId id, Gva page_gva, Gpa src,
                 frameAlloc.debugForceFree(table);
         }
     }
+    ++enclave.addedPages;
+}
 
-    ++enclave->addedPages;
+Expected<Monitor::ResidentPage>
+Monitor::evictPage(PageRun &run, Enclave &enclave, Gva page_gva,
+                   SealedBlob &blob)
+{
+    if (!page_gva.pageAligned())
+        return HvError::NotAligned;
+    // Only ELRANGE pages are pageable; the marshalling buffer mapping
+    // is fixed for the enclave's entire life cycle.
+    if (!enclave.cfg.elrange.contains(page_gva))
+        return HvError::IsolationViolation;
+    auto page = lookupPage(run, enclave.id, page_gva);
+    if (!page)
+        return page.error();
+    sealPage(blob, *page, enclave.nextSealVersion++);
+    releasePage(run, *page);
+    enclave.evictedPages[page_gva.value] = blob.version;
+    return page;
+}
+
+Status
+Monitor::hcEnclaveAddPage(EnclaveId id, Gva page_gva, Gpa src,
+                          AddPageKind kind, FrameSource *frames)
+{
+    HypercallScope scope(statCounters, "hc_enclave_add_page", id);
+    Enclave *enclave = findEnclaveMutable(id);
+    if (!enclave)
+        return scope.fail(HvError::NoSuchEnclave);
+    if (enclave->state != EnclaveState::Adding)
+        return scope.fail(HvError::BadEnclaveState);
+    PageRun run(physMem, frames ? *frames : frameAlloc, *enclave);
+    const AddPageRequest req{page_gva, src, kind};
+    auto page = placeAddedPage(run, *enclave, req);
+    if (!page)
+        return scope.fail(page.error());
+    // The checked word-by-word copy: docs/BATCHING.md says why the
+    // single call does not take the batch's bulk copy.
+    physMem.copyPage(page->epcPage, Hpa(src.value));
+    measureAddedPage(run, *enclave, req, page->epcPage);
     ++statCounters.pagesAdded;
     statPagesAdded.inc();
     return okStatus();
@@ -497,7 +603,6 @@ Monitor::hcEnclaveAddPagesBatch(EnclaveId id,
     HypercallScope scope(statCounters, "hc_enclave_add_pages_batch", id);
     if (reqs.empty())
         return okStatus(); // fold over nothing is the identity
-    FrameSource &tableFrames = frames ? *frames : frameAlloc;
     Enclave *enclave = findEnclaveMutable(id);
     if (!enclave)
         return scope.fail(HvError::NoSuchEnclave);
@@ -506,9 +611,6 @@ Monitor::hcEnclaveAddPagesBatch(EnclaveId id,
     if (enclave->state != EnclaveState::Adding)
         return scope.fail(HvError::BadEnclaveState);
 
-    PageTable gpt(physMem, &tableFrames, enclave->gptRoot);
-    PageTable ept(physMem, &tableFrames, enclave->eptRoot);
-
     // Snapshot of everything an element mutates besides the tables,
     // EPCM and page contents, for the all-or-nothing rollback.
     const u64 saved_measurement = enclave->measurement;
@@ -516,119 +618,37 @@ Monitor::hcEnclaveAddPagesBatch(EnclaveId id,
     const u64 saved_tcs = enclave->tcsPages;
     const u64 saved_entry = enclave->entryPoint;
 
-    struct Applied
-    {
-        u64 gva;
-        u64 gpa;
-        Hpa epcPage;
-    };
-    std::vector<Applied> applied;
-    applied.reserve(reqs.size());
-
-    // One walk per 2 MiB run and one EPCM scan front amortized over the
-    // whole batch; both are observationally identical to the per-call
-    // walk/scan because nothing is freed between elements.
-    PageTable::LeafCursor gpt_cursor, ept_cursor;
-    u64 epc_hint = 0;
-
-    const PteFlags epc_flags = cfg.planted.wrongPermMask
-                                   ? PteFlags::userRo()
-                                   : PteFlags::userRw();
-
+    // One run across the batch: one walk per 2 MiB span and one EPCM
+    // scan front, the same as per-call walks and scans because nothing
+    // is freed between elements.  Pages are copied in bulk over raw
+    // words.
+    PageRun run(physMem, frames ? *frames : frameAlloc, *enclave);
+    std::vector<PlacedPage> placed;
+    placed.reserve(reqs.size());
     HvError batch_error = HvError::None;
     for (const AddPageRequest &req : reqs) {
-        // Per-element validation in fold order, so the error reported
-        // is exactly the one the failing single call would raise.
-        if (!req.gva.pageAligned() || req.src.value % pageSize != 0) {
-            batch_error = HvError::NotAligned;
+        auto page = placeAddedPage(run, *enclave, req);
+        if (!page) {
+            batch_error = page.error();
             break;
         }
-        const bool gva_in_elrange =
-            cfg.planted.elrangeOffByOne
-                ? req.gva.value >= enclave->cfg.elrange.start.value &&
-                      req.gva.value <= enclave->cfg.elrange.end.value
-                : enclave->cfg.elrange.contains(req.gva);
-        if (!gva_in_elrange) {
-            batch_error = HvError::IsolationViolation;
-            break;
-        }
-        const HpaRange src_range = {Hpa(req.src.value),
-                                    Hpa(req.src.value + pageSize)};
-        if (!cfg.layout.normalRange().containsRange(src_range)) {
-            batch_error = HvError::IsolationViolation;
-            break;
-        }
-
-        const u64 gpa = enclaveEpcGpaBase + enclave->addedPages * pageSize;
-        if (auto st = gpt.map(req.gva.value, gpa, PteFlags::userRw(),
-                              gpt_cursor); !st) {
-            batch_error = st.error();
-            break;
-        }
-        auto epc_page = epcMap.allocPage(
-            id, cfg.planted.skipEpcmOwnerCheck ? Gva(0) : req.gva,
-            req.kind == AddPageKind::Tcs ? EpcPageState::Tcs
-                                         : EpcPageState::Reg,
-            epc_hint);
-        if (!epc_page) {
-            (void)gpt.unmap(req.gva.value);
-            batch_error = epc_page.error();
-            break;
-        }
-        if (auto st = ept.map(gpa, epc_page->value, epc_flags,
-                              ept_cursor); !st) {
-            (void)gpt.unmap(req.gva.value);
-            (void)epcMap.freePage(*epc_page);
-            batch_error = st.error();
-            break;
-        }
-
-        // Bulk copy + the shared measurement fold over raw page words:
-        // bit-identical to the single call's measurePage by sharing it.
-        const u64 *src_words = physMem.pageWords(Hpa(req.src.value));
-        u64 *dst_words = physMem.pageWordsMut(*epc_page);
-        std::memcpy(dst_words, src_words, pageSize);
-        enclave->measurement = measurePage(enclave->measurement,
-                                          req.gva.value, dst_words);
-
-        if (req.kind == AddPageKind::Tcs) {
-            if (enclave->tcsPages == 0)
-                enclave->entryPoint = dst_words[0];
-            ++enclave->tcsPages;
-        }
-        if (cfg.planted.frameDoubleFree) {
-            Hpa table = enclave->gptRoot;
-            for (int level = pagingLevels; level >= 2; --level) {
-                const Pte entry =
-                    gpt.entryAt(table, req.gva.tableIndex(level));
-                if (!entry.present() || entry.huge())
-                    break;
-                table = Hpa(entry.addr());
-                if (level == 2)
-                    frameAlloc.debugForceFree(table);
-            }
-        }
-        ++enclave->addedPages;
-        applied.push_back({req.gva.value, gpa, *epc_page});
+        std::memcpy(physMem.pageWordsMut(page->epcPage),
+                    physMem.pageWords(Hpa(req.src.value)), pageSize);
+        measureAddedPage(run, *enclave, req, page->epcPage);
+        placed.push_back(*page);
     }
 
     if (batch_error == HvError::None) {
-        statCounters.pagesAdded += applied.size();
-        for (u64 i = 0; i < applied.size(); ++i)
-            statPagesAdded.inc();
+        statCounters.pagesAdded += placed.size();
+        statPagesAdded.add(placed.size());
         return okStatus();
     }
 
-    // All-or-nothing: unwind every applied element in reverse, putting
-    // the state back exactly where the batch found it (intermediate
-    // table frames stay linked into the trees, as after a failed
-    // single call).
-    for (auto rit = applied.rbegin(); rit != applied.rend(); ++rit) {
-        (void)gpt.unmap(rit->gva);
-        (void)ept.unmap(rit->gpa);
-        scrubPage(rit->epcPage);
-        (void)epcMap.freePage(rit->epcPage);
-    }
+    // All-or-nothing: release every placed page in reverse, putting the
+    // state back exactly where the batch found it (intermediate table
+    // frames stay linked into the trees, as after a failed single call).
+    for (auto rit = placed.rbegin(); rit != placed.rend(); ++rit)
+        releasePage(run, *rit);
     enclave->measurement = saved_measurement;
     enclave->addedPages = saved_added;
     enclave->tcsPages = saved_tcs;
@@ -773,47 +793,15 @@ Monitor::hcEnclaveEvictPage(EnclaveId id, Gva page_gva)
     // Adding, the OS controls residency through add_page itself.
     if (enclave->state != EnclaveState::Initialized)
         return scope.fail(HvError::BadEnclaveState);
-    if (!page_gva.pageAligned())
-        return scope.fail(HvError::NotAligned);
-    // Only ELRANGE pages are pageable; the marshalling buffer mapping
-    // is fixed for the enclave's entire life cycle.
-    if (!enclave->cfg.elrange.contains(page_gva))
-        return scope.fail(HvError::IsolationViolation);
 
-    PageTable gpt(physMem, &frameAlloc, enclave->gptRoot);
-    PageTable ept(physMem, &frameAlloc, enclave->eptRoot);
-    auto stage1 = gpt.query(page_gva.value);
-    if (!stage1)
-        return scope.fail(HvError::NotMapped);
-    const u64 gpa_slot = stage1->physAddr & ~(pageSize - 1);
-    auto stage2 = ept.query(gpa_slot);
-    if (!stage2)
-        return scope.fail(HvError::NotMapped);
-    const Hpa epc_page = Hpa(stage2->physAddr & ~(pageSize - 1));
-    const EpcmEntry &entry = epcMap.entryFor(epc_page);
-    if (entry.state == EpcPageState::Free || entry.owner != id)
-        return scope.fail(HvError::IsolationViolation);
-
+    PageRun run(physMem, frameAlloc, *enclave);
     SealedBlob blob;
-    blob.owner = id;
-    blob.gva = page_gva;
-    blob.kind = entry.state == EpcPageState::Tcs ? AddPageKind::Tcs
-                                                 : AddPageKind::Reg;
-    blob.gpaSlot = Gpa(gpa_slot);
-    blob.version = enclave->nextSealVersion++;
-    for (u64 off = 0; off < pageSize; off += sizeof(u64))
-        blob.words[off / sizeof(u64)] = physMem.read(epc_page + off);
-    blob.mac = sealMac(blob);
-
-    (void)gpt.unmap(page_gva.value);
-    (void)ept.unmap(gpa_slot);
-    scrubPage(epc_page);
-    (void)epcMap.freePage(epc_page);
+    if (auto page = evictPage(run, *enclave, page_gva, blob); !page)
+        return scope.fail(page.error());
     // A resident vCPU may hold cached translations for the page; they
     // must die with the mapping or a stale hit reads the scrubbed (or
     // later re-allocated) frame.
     tlbModel.flushDomain(id);
-    enclave->evictedPages[page_gva.value] = blob.version;
     ++statCounters.pagesEvicted;
     statPagesEvicted.inc();
     return blob;
@@ -832,77 +820,23 @@ Monitor::hcEnclaveEvictPagesBatch(EnclaveId id,
     if (enclave->state != EnclaveState::Initialized)
         return scope.fail(HvError::BadEnclaveState);
 
-    PageTable gpt(physMem, &frameAlloc, enclave->gptRoot);
-    PageTable ept(physMem, &frameAlloc, enclave->eptRoot);
-    PageTable::LeafCursor gpt_cursor, ept_cursor;
+    PageRun run(physMem, frameAlloc, *enclave);
     const u64 saved_seal_version = enclave->nextSealVersion;
-
-    /** Everything needed to put one sealed page back on rollback. */
-    struct Applied
-    {
-        u64 gva;
-        u64 gpaSlot;
-        Hpa epcPage;
-        PteFlags gptFlags;
-        PteFlags eptFlags;
-        EpcPageState epcState;
-        Gva epcLinAddr;
-        u64 blobIndex;
-    };
-    std::vector<Applied> applied;
-    applied.reserve(gvas.size());
+    // evicted[i] is where blobs[i] was sealed from, for the rollback.
+    std::vector<ResidentPage> evicted;
+    evicted.reserve(gvas.size());
     std::vector<SealedBlob> blobs;
     blobs.reserve(gvas.size());
 
     HvError batch_error = HvError::None;
     for (const Gva page_gva : gvas) {
-        if (!page_gva.pageAligned()) {
-            batch_error = HvError::NotAligned;
+        auto page = evictPage(run, *enclave, page_gva, blobs.emplace_back());
+        if (!page) {
+            blobs.pop_back();
+            batch_error = page.error();
             break;
         }
-        if (!enclave->cfg.elrange.contains(page_gva)) {
-            batch_error = HvError::IsolationViolation;
-            break;
-        }
-        auto stage1 = gpt.query(page_gva.value);
-        if (!stage1) {
-            batch_error = HvError::NotMapped;
-            break;
-        }
-        const u64 gpa_slot = stage1->physAddr & ~(pageSize - 1);
-        auto stage2 = ept.query(gpa_slot);
-        if (!stage2) {
-            batch_error = HvError::NotMapped;
-            break;
-        }
-        const Hpa epc_page = Hpa(stage2->physAddr & ~(pageSize - 1));
-        const EpcmEntry entry = epcMap.entryFor(epc_page);
-        if (entry.state == EpcPageState::Free || entry.owner != id) {
-            batch_error = HvError::IsolationViolation;
-            break;
-        }
-
-        SealedBlob blob;
-        blob.owner = id;
-        blob.gva = page_gva;
-        blob.kind = entry.state == EpcPageState::Tcs ? AddPageKind::Tcs
-                                                     : AddPageKind::Reg;
-        blob.gpaSlot = Gpa(gpa_slot);
-        blob.version = enclave->nextSealVersion++;
-        const u64 *page_words = physMem.pageWords(epc_page);
-        std::memcpy(blob.words.data(), page_words, pageSize);
-        blob.mac = sealMac(blob);
-
-        (void)gpt.unmap(page_gva.value, gpt_cursor);
-        (void)ept.unmap(gpa_slot, ept_cursor);
-        scrubPage(epc_page);
-        (void)epcMap.freePage(epc_page);
-        enclave->evictedPages[page_gva.value] = blob.version;
-
-        applied.push_back({page_gva.value, gpa_slot, epc_page,
-                           stage1->flags, stage2->flags, entry.state,
-                           entry.linAddr, blobs.size()});
-        blobs.push_back(std::move(blob));
+        evicted.push_back(*page);
     }
 
     if (batch_error == HvError::None) {
@@ -911,15 +845,14 @@ Monitor::hcEnclaveEvictPagesBatch(EnclaveId id,
         // flush (under SMP this becomes one vectored shootdown).  The
         // planted batch bug forgets every middle page, so stale
         // translations survive only in batches of three or more.
-        for (u64 i = 0; i < applied.size(); ++i) {
+        for (u64 i = 0; i < evicted.size(); ++i) {
             if (cfg.planted.batchSkipMiddleInvalidate && i > 0 &&
-                i + 1 < applied.size())
+                i + 1 < evicted.size())
                 continue;
-            tlbModel.invalidatePage(id, applied[i].gva);
+            tlbModel.invalidatePage(id, evicted[i].gva);
         }
-        statCounters.pagesEvicted += applied.size();
-        for (u64 i = 0; i < applied.size(); ++i)
-            statPagesEvicted.inc();
+        statCounters.pagesEvicted += evicted.size();
+        statPagesEvicted.add(evicted.size());
         return blobs;
     }
 
@@ -928,15 +861,15 @@ Monitor::hcEnclaveEvictPagesBatch(EnclaveId id,
     // contents — and rewind the anti-rollback ledger.  A mapped page
     // can have no pre-batch evictedPages record (reload erases it), so
     // erasing our insertions is exact.
-    for (auto rit = applied.rbegin(); rit != applied.rend(); ++rit) {
-        (void)epcMap.restorePage(rit->epcPage, id, rit->epcLinAddr,
-                                 rit->epcState);
-        (void)gpt.map(rit->gva, rit->gpaSlot, rit->gptFlags);
-        (void)ept.map(rit->gpaSlot, rit->epcPage.value, rit->eptFlags);
-        u64 *dst_words = physMem.pageWordsMut(rit->epcPage);
-        std::memcpy(dst_words, blobs[rit->blobIndex].words.data(),
-                    pageSize);
-        enclave->evictedPages.erase(rit->gva);
+    for (u64 i = evicted.size(); i-- > 0;) {
+        const ResidentPage &page = evicted[i];
+        (void)epcMap.restorePage(page.epcPage, id, page.entry.linAddr,
+                                 page.entry.state);
+        (void)run.gpt.map(page.gva, page.gpaSlot, page.gptFlags);
+        (void)run.ept.map(page.gpaSlot, page.epcPage.value, page.eptFlags);
+        std::memcpy(physMem.pageWordsMut(page.epcPage),
+                    blobs[i].words.data(), pageSize);
+        enclave->evictedPages.erase(page.gva);
     }
     enclave->nextSealVersion = saved_seal_version;
     return scope.fail(batch_error);
@@ -947,7 +880,6 @@ Monitor::hcEnclaveReloadPage(EnclaveId id, const SealedBlob &blob,
                              FrameSource *frames)
 {
     HypercallScope scope(statCounters, "hc_enclave_reload_page", id);
-    FrameSource &tableFrames = frames ? *frames : frameAlloc;
     Enclave *enclave = findEnclaveMutable(id);
     if (!enclave)
         return scope.fail(HvError::NoSuchEnclave);
@@ -964,31 +896,9 @@ Monitor::hcEnclaveReloadPage(EnclaveId id, const SealedBlob &blob,
     if (!cfg.planted.acceptSealRollback && blob.version != rec->second)
         return scope.fail(HvError::SealRollback);
 
-    PageTable gpt(physMem, &tableFrames, enclave->gptRoot);
-    PageTable ept(physMem, &tableFrames, enclave->eptRoot);
-
-    // Mirror add_page's map/alloc/map order exactly so the abstract
-    // machine's allocator state stays index-aligned with ours.
-    if (auto st = gpt.map(blob.gva.value, blob.gpaSlot.value,
-                          PteFlags::userRw()); !st)
-        return scope.fail(st.error());
-    auto epc_page = epcMap.allocPage(id, blob.gva,
-                                     blob.kind == AddPageKind::Tcs
-                                         ? EpcPageState::Tcs
-                                         : EpcPageState::Reg);
-    if (!epc_page) {
-        (void)gpt.unmap(blob.gva.value);
-        return scope.fail(epc_page.error());
-    }
-    if (auto st = ept.map(blob.gpaSlot.value, epc_page->value,
-                          PteFlags::userRw()); !st) {
-        (void)gpt.unmap(blob.gva.value);
-        (void)epcMap.freePage(*epc_page);
-        return scope.fail(st.error());
-    }
-
-    for (u64 off = 0; off < pageSize; off += sizeof(u64))
-        physMem.write(*epc_page + off, blob.words[off / sizeof(u64)]);
+    PageRun run(physMem, frames ? *frames : frameAlloc, *enclave);
+    if (auto page = placeBlob(run, id, blob); !page)
+        return scope.fail(page.error());
     enclave->evictedPages.erase(rec);
     ++statCounters.pagesReloaded;
     statPagesReloaded.inc();
@@ -1015,25 +925,10 @@ Monitor::hcEnclaveSnapshot(EnclaveId id, SnapshotMode mode)
     if (!enclave->evictedPages.empty())
         return scope.fail(HvError::BadEnclaveState);
 
-    PageTable gpt(physMem, &frameAlloc, enclave->gptRoot);
-    PageTable ept(physMem, &frameAlloc, enclave->eptRoot);
-
-    // Enumerate resident ELRANGE pages in ascending gva order (the
-    // walk visits indices in order).  The marshalling buffer mapping is
-    // per-host plumbing, not enclave state: restore re-creates it.
-    struct Resident
-    {
-        u64 gva;
-        u64 gpaSlot;
-    };
-    std::vector<Resident> resident;
-    gpt.forEachMapping([&](u64 va, Pte entry, int level) {
-        if (level != 1)
-            return;
-        if (!enclave->cfg.elrange.contains(Gva(va)))
-            return;
-        resident.push_back({va, entry.addr() & ~(pageSize - 1)});
-    });
+    // Resident ELRANGE pages in ascending gva order.  The marshalling
+    // buffer mapping is per-host plumbing, not enclave state: restore
+    // re-creates it.
+    const std::vector<Gva> resident = *enclaveResidentPages(id);
     if (resident.size() != enclave->addedPages)
         return scope.fail(HvError::BadEnclaveState);
 
@@ -1052,31 +947,15 @@ Monitor::hcEnclaveSnapshot(EnclaveId id, SnapshotMode mode)
     image.pageMeta.reserve(resident.size());
     image.pages.reserve(resident.size());
 
+    PageRun run(physMem, frameAlloc, *enclave);
     for (u64 i = 0; i < resident.size(); ++i) {
-        auto stage2 = ept.query(resident[i].gpaSlot);
-        if (!stage2)
-            return scope.fail(HvError::NotMapped);
-        const Hpa epc_page = Hpa(stage2->physAddr & ~(pageSize - 1));
-        if (!epcMap.isEpc(epc_page))
-            return scope.fail(HvError::IsolationViolation);
-        const EpcmEntry entry = epcMap.entryFor(epc_page);
-        if (entry.state == EpcPageState::Free || entry.owner != id)
-            return scope.fail(HvError::IsolationViolation);
-
-        SealedBlob blob;
-        blob.owner = id;
-        blob.gva = Gva(resident[i].gva);
-        blob.kind = entry.state == EpcPageState::Tcs ? AddPageKind::Tcs
-                                                     : AddPageKind::Reg;
-        blob.gpaSlot = Gpa(resident[i].gpaSlot);
-        blob.version = image.versionBase + i;
-        std::memcpy(blob.words.data(), physMem.pageWords(epc_page),
-                    pageSize);
-        blob.mac = sealMac(blob);
-
+        auto page = lookupPage(run, id, resident[i]);
+        if (!page)
+            return scope.fail(page.error());
+        SealedBlob &blob = image.pages.emplace_back();
+        sealPage(blob, *page, image.versionBase + i);
         image.pageMeta.push_back({blob.gva, blob.kind, blob.version,
                                   pageWordsDigest(blob.words.data())});
-        image.pages.push_back(std::move(blob));
     }
     enclave->nextSealVersion += resident.size();
     image.mac = enclaveImageMac(image);
@@ -1132,76 +1011,38 @@ Monitor::hcEnclaveRestoreImage(const EnclaveImage &image)
 
     // Build the twin through the init path (validates geometry against
     // this host's layout and maps the marshalling buffer), then reload
-    // every page from its blob.  Everything after init lands in the
-    // undo set: restore is all-or-nothing, and the enclave counts as
-    // created only once it commits.
+    // every page from its blob in one run.  Everything after init lands
+    // in the undo set: restore is all-or-nothing, and the enclave
+    // counts as created only once it commits.
     auto new_id = initEnclave(image.cfg);
     if (!new_id)
         return scope.fail(new_id.error());
     Enclave &enclave = enclaves.at(*new_id);
-    PageTable gpt(physMem, &frameAlloc, enclave.gptRoot);
-    PageTable ept(physMem, &frameAlloc, enclave.eptRoot);
-    PageTable::LeafCursor gpt_cursor, ept_cursor;
-
-    /** Everything needed to unwind one restored page. */
-    struct Applied
-    {
-        u64 gva;
-        u64 gpaSlot;
-        Hpa epcPage;
-    };
-    std::vector<Applied> applied;
-    applied.reserve(image.pages.size());
-    u64 epc_hint = 0;
+    PageRun run(physMem, frameAlloc, enclave);
+    std::vector<PlacedPage> placed;
+    placed.reserve(image.pages.size());
 
     HvError build_error = HvError::None;
     for (const SealedBlob &blob : image.pages) {
-        // Same map/alloc/map order as add_page and reload_page so the
-        // abstract machine's allocator stays index-aligned with ours;
-        // blob words land straight in the EPC frame, never staged
-        // through normal memory the OS could observe.
-        if (auto st = gpt.map(blob.gva.value, blob.gpaSlot.value,
-                              PteFlags::userRw(), gpt_cursor); !st) {
-            build_error = st.error();
+        auto page = placeBlob(run, *new_id, blob);
+        if (!page) {
+            build_error = page.error();
             break;
         }
-        auto epc_page = epcMap.allocPage(*new_id, blob.gva,
-                                         blob.kind == AddPageKind::Tcs
-                                             ? EpcPageState::Tcs
-                                             : EpcPageState::Reg,
-                                         epc_hint);
-        if (!epc_page) {
-            (void)gpt.unmap(blob.gva.value, gpt_cursor);
-            build_error = epc_page.error();
-            break;
-        }
-        if (auto st = ept.map(blob.gpaSlot.value, epc_page->value,
-                              PteFlags::userRw(), ept_cursor); !st) {
-            (void)gpt.unmap(blob.gva.value, gpt_cursor);
-            (void)epcMap.freePage(*epc_page);
-            build_error = st.error();
-            break;
-        }
-        std::memcpy(physMem.pageWordsMut(*epc_page), blob.words.data(),
-                    pageSize);
-        applied.push_back({blob.gva.value, blob.gpaSlot.value, *epc_page});
+        placed.push_back(*page);
         ++enclave.addedPages;
         if (blob.kind == AddPageKind::Tcs)
             ++enclave.tcsPages;
     }
 
     if (build_error != HvError::None) {
-        // All-or-nothing: unwind the pages in reverse, then retract
+        // All-or-nothing: release the pages in reverse, then retract
         // the init itself so no trace of the attempt remains — state
         // equality with "never called" is what the spec checks.
-        for (auto rit = applied.rbegin(); rit != applied.rend(); ++rit) {
-            (void)ept.unmap(rit->gpaSlot);
-            (void)gpt.unmap(rit->gva);
-            scrubPage(rit->epcPage);
-            (void)epcMap.freePage(rit->epcPage);
-        }
-        (void)gpt.destroy();
-        (void)ept.destroy();
+        for (auto rit = placed.rbegin(); rit != placed.rend(); ++rit)
+            releasePage(run, *rit);
+        (void)run.gpt.destroy();
+        (void)run.ept.destroy();
         enclaves.erase(*new_id);
         --nextEnclaveId;
         statLiveEnclaves.set(i64(enclaves.size()));

@@ -367,12 +367,13 @@ class Monitor
     /**
      * add_pages_batch: the fold of hcEnclaveAddPage over @p reqs with
      * one hypercall's worth of fixed overhead and all-or-nothing
-     * semantics.  Elements are validated and applied one at a time in
-     * order; on the first failure every already-applied element is
-     * rolled back (pages unmapped, EPC frames scrubbed and freed, the
-     * measurement and page counters restored) and the error returned is
-     * exactly the error the failing single call would have produced, so
-     * batch(ops) ≡ fold(single, ops) including the error channel.
+     * semantics.  Each element runs hcEnclaveAddPage's per-element
+     * steps, in order, over one shared leaf cursor and EPCM scan hint,
+     * with a bulk page copy between them; on the first failure every already-applied element is released
+     * (pages unmapped, EPC frames scrubbed and freed, the measurement
+     * and page counters restored) and the error returned is exactly the
+     * error the failing single call would have produced, so batch(ops)
+     * ≡ fold(single, ops) including the error channel.
      */
     Status hcEnclaveAddPagesBatch(EnclaveId id,
                                   const std::vector<AddPageRequest> &reqs,
@@ -381,7 +382,8 @@ class Monitor
     /**
      * evict_pages_batch: the fold of hcEnclaveEvictPage over @p gvas
      * with one hypercall's worth of overhead and all-or-nothing
-     * semantics.  Per-page TLB invalidation replaces the per-call
+     * semantics.  Each element runs hcEnclaveEvictPage's own
+     * per-element step; per-page TLB invalidation replaces the per-call
      * domain flush (the SMP layer turns this into one vectored
      * shootdown); on the first failure every already-sealed page is
      * restored — contents, EPCM slot (same index), stage-1/2 mappings
@@ -411,10 +413,11 @@ class Monitor
      * vector against the header (ImageTruncated), every per-page blob
      * MAC and digest (ImageAuthFailed), and the anti-rollback ledger
      * (ImageRollback: a measurement's images must restore in
-     * non-decreasing versionBase order).  Construction reuses the
-     * batched add/reload path with all-or-nothing rollback: any
-     * mid-build failure unwinds to a state with no trace of the
-     * attempt and returns the first error.
+     * non-decreasing versionBase order).  Construction runs init and
+     * then reload_page's install step for every blob in one run, with
+     * all-or-nothing rollback through the release step: any mid-build
+     * failure unwinds to a state with no trace of the attempt and
+     * returns the first error.
      *
      * @return the restored enclave's (fresh) id.
      */
@@ -510,10 +513,106 @@ class Monitor
     Expected<EnclaveId> validateInitConfig(const EnclaveConfig &config);
 
     /**
-     * hcEnclaveInit without counting the enclave as created, so a
-     * restore that fails after it leaves the creation count alone.
+     * hcEnclaveInit without its hypercall scope and without counting
+     * the enclave as created, so restore runs it under its own scope
+     * and a restore that fails after it leaves the creation count
+     * alone.
      */
     Expected<EnclaveId> initEnclave(const EnclaveConfig &config);
+
+    /**
+     * One enclave's GPT and EPT bound to a frame source, plus the leaf
+     * cursors and the EPCM scan hint that a run of page steps shares.
+     * A single-page hypercall steps a fresh run (every map walks from
+     * the root, every EPC grant scans from index 0); a batch steps one
+     * run across its elements, which is the same while nothing is
+     * freed between grants.
+     */
+    struct PageRun
+    {
+        PageRun(PhysMem &mem, FrameSource &frames, const Enclave &enclave);
+
+        PageTable gpt;
+        PageTable ept;
+        PageTable::LeafCursor gptCursor;
+        PageTable::LeafCursor eptCursor;
+        u64 epcHint = 0;
+    };
+
+    /** Where one enclave page lives: gva -> gpaSlot -> epcPage. */
+    struct PlacedPage
+    {
+        u64 gva;
+        u64 gpaSlot;
+        Hpa epcPage;
+    };
+
+    /** A resident page as the lookup step found it. */
+    struct ResidentPage : PlacedPage
+    {
+        PteFlags gptFlags;
+        PteFlags eptFlags;
+        EpcmEntry entry;
+    };
+
+    /**
+     * The install step, where every enclave page gains its owner: map
+     * gva -> gpa_slot in the GPT, take an EPC page for (owner,
+     * epcm_lin_addr, kind) at the run's scan hint, and map gpa_slot ->
+     * page in the EPT with ept_flags.  On failure it undoes the stages
+     * it did and returns the error.
+     */
+    Expected<PlacedPage> installPage(PageRun &run, EnclaveId owner, Gva gva,
+                                     u64 gpa_slot, Gva epcm_lin_addr,
+                                     AddPageKind kind, PteFlags ept_flags);
+
+    /**
+     * The release step, where every evicted or rolled-back page loses
+     * its owner: unmap both stages, scrub the frame and free it.  The
+     * caller owns the TLB action.
+     */
+    void releasePage(PageRun &run, const PlacedPage &page);
+
+    /**
+     * The lookup step: GPT query -> EPT query -> EPC range -> EPCM
+     * owner.  NotMapped if a stage misses, IsolationViolation if the
+     * frame is not an EPC page owned by @p id.
+     */
+    Expected<ResidentPage> lookupPage(const PageRun &run, EnclaveId id,
+                                      Gva gva) const;
+
+    /** The seal step: fill @p blob from @p page at @p version and MAC it. */
+    void sealPage(SealedBlob &blob, const ResidentPage &page,
+                  u64 version) const;
+
+    /** Install a blob's page at its recorded slot and copy its words in. */
+    Expected<PlacedPage> placeBlob(PageRun &run, EnclaveId id,
+                                   const SealedBlob &blob);
+
+    /**
+     * The first half of one add_page element, shared by the single call
+     * and the batch: validate in fold order and install at the next
+     * EPC GPA slot.  The caller copies the initial contents in and then
+     * runs measureAddedPage.
+     */
+    Expected<PlacedPage> placeAddedPage(PageRun &run, const Enclave &enclave,
+                                        const AddPageRequest &req);
+
+    /**
+     * The second half: fold the copied page into the measurement,
+     * record the first TCS entry point, run the planted frame double
+     * free, and bump addedPages.
+     */
+    void measureAddedPage(PageRun &run, Enclave &enclave,
+                          const AddPageRequest &req, Hpa epc_page);
+
+    /**
+     * One evict_page element, shared by the single call and the batch:
+     * validate, look the page up, seal it into @p blob at the next
+     * version, release it and record the version.  Flushes no TLB.
+     */
+    Expected<ResidentPage> evictPage(PageRun &run, Enclave &enclave,
+                                     Gva page_gva, SealedBlob &blob);
 
     /** Map the marshalling buffer into an enclave's GPT and EPT. */
     Status mapMarshallingBuffer(Enclave &enclave);

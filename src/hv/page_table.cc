@@ -103,20 +103,8 @@ PageTable::walkToLeafTable(u64 va, bool alloc_missing)
 Status
 PageTable::map(u64 va, u64 pa, PteFlags flags)
 {
-    if (va % pageSize != 0 || pa % pageSize != 0)
-        return HvError::NotAligned;
-    if (!flags.present)
-        return HvError::InvalidParam;
-    flags.huge = false;
-    auto leaf = walkToLeafTable(va, true);
-    if (!leaf)
-        return leaf.error();
-    const u64 index = Gva(va).tableIndex(1);
-    if (entryAt(*leaf, index).present())
-        return HvError::AlreadyMapped;
-    setEntryAt(*leaf, index, Pte::make(pa, flags));
-    statMaps.inc();
-    return okStatus();
+    LeafCursor fresh;
+    return map(va, pa, flags, fresh);
 }
 
 Status
@@ -183,17 +171,8 @@ PageTable::mapHuge(u64 va, u64 pa, PteFlags flags, int level)
 Status
 PageTable::unmap(u64 va)
 {
-    if (va % pageSize != 0)
-        return HvError::NotAligned;
-    auto leaf = walkToLeafTable(va, false);
-    if (!leaf)
-        return leaf.error();
-    const u64 index = Gva(va).tableIndex(1);
-    if (!entryAt(*leaf, index).present())
-        return HvError::NotMapped;
-    setEntryAt(*leaf, index, Pte::empty());
-    statUnmaps.inc();
-    return okStatus();
+    LeafCursor fresh;
+    return unmap(va, fresh);
 }
 
 Status

@@ -81,7 +81,8 @@ class PageTable
      * Install a 4 KiB terminal mapping va -> pa.
      *
      * Intermediate tables are allocated on demand.  Fails with
-     * AlreadyMapped if a terminal entry already covers va.
+     * AlreadyMapped if a terminal entry already covers va.  The cursor
+     * overload started with a fresh cursor, which always walks.
      */
     Status map(u64 va, u64 pa, PteFlags flags);
 
@@ -95,7 +96,10 @@ class PageTable
      */
     Status mapHuge(u64 va, u64 pa, PteFlags flags, int level);
 
-    /** Remove the terminal mapping covering va (4 KiB only). */
+    /**
+     * Remove the terminal mapping covering va (4 KiB only): the cursor
+     * overload started with a fresh cursor.
+     */
     Status unmap(u64 va);
 
     /** unmap() reusing (and refreshing) a cached leaf-table walk. */

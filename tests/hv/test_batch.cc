@@ -51,9 +51,10 @@ mix(u64 h, u64 v)
 
 /**
  * Digest of everything the batch theorem quantifies over: the EPCM
- * (entries *and* page contents), the free-page count, and each live
- * enclave's lifecycle metadata including the anti-rollback ledger.
- * The TLB is deliberately excluded — it is a cache, and the batch path
+ * (entries *and* page contents), the free-page count, each live
+ * enclave's lifecycle metadata including the anti-rollback ledger, and
+ * every terminal mapping of its GPT and EPT (so a rollback that leaves
+ * a stray mapping behind shows).  The TLB is deliberately excluded — it is a cache, and the batch path
  * legitimately leaves different (never stale) residue than the fold.
  */
 u64
@@ -80,6 +81,15 @@ monitorDigest(const Monitor &mon)
         for (const auto &[gva, version] : enc.evictedPages) {
             h = mix(h, gva);
             h = mix(h, version);
+        }
+        for (const Hpa root : {enc.gptRoot, enc.eptRoot}) {
+            const PageTable pt(const_cast<PhysMem &>(mon.mem()), nullptr,
+                               root);
+            pt.forEachMapping([&](u64 va, Pte entry, int level) {
+                h = mix(h, va);
+                h = mix(h, entry.raw());
+                h = mix(h, u64(level));
+            });
         }
     });
     return h;

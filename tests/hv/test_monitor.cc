@@ -8,6 +8,7 @@
 
 #include "hv/machine.hh"
 #include "hv/monitor.hh"
+#include "obs/stats.hh"
 
 namespace hev::hv
 {
@@ -445,6 +446,155 @@ TEST(MonitorTest, TwoEnclavesGetDisjointEpcPages)
         for (Hpa p2 : pages2)
             EXPECT_NE(p1.value, p2.value);
     }
+}
+
+TEST(MonitorTest, CommittedRestoreCountsOneHypercall)
+{
+    Machine src(smallConfig());
+    Machine dst(smallConfig());
+    auto enclave = src.setupEnclave(0x10'0000, 2, 1, 0x5a);
+    ASSERT_TRUE(enclave.ok());
+    auto image = src.monitor().hcEnclaveSnapshot(enclave->id,
+                                                 SnapshotMode::Fork);
+    ASSERT_TRUE(image.ok());
+
+    const u64 before = dst.monitor().stats().hypercalls;
+    ASSERT_TRUE(dst.monitor().hcEnclaveRestoreImage(*image).ok());
+    // The init inside restore runs under restore's own scope.
+    EXPECT_EQ(dst.monitor().stats().hypercalls, before + 1);
+}
+
+TEST(MonitorTest, InitOutOfFramesIsRejectedOnce)
+{
+    const auto rejected_counter = [] {
+        return obs::snapshotStats().counters["hv.hypercalls_rejected"];
+    };
+    // No frame left fails the GPT root; one frame left fails the EPT
+    // root after the GPT root was taken.
+    for (const u64 frames_left : {0u, 1u}) {
+        Monitor mon(smallConfig());
+        std::vector<Hpa> taken;
+        while (auto frame = mon.ptAlloc().allocFrame())
+            taken.push_back(*frame);
+        for (u64 i = 0; i < frames_left; ++i) {
+            ASSERT_TRUE(mon.ptAlloc().free(taken.back()).ok());
+            taken.pop_back();
+        }
+        const u64 used = mon.ptAlloc().usedFrames();
+        const u64 calls = mon.stats().hypercalls;
+        const u64 rejected = mon.stats().rejectedRequests;
+        const u64 counter_before = rejected_counter();
+
+        auto id = mon.hcEnclaveInit(validEnclaveConfig());
+        ASSERT_FALSE(id.ok()) << "frames left " << frames_left;
+        EXPECT_EQ(id.error(), HvError::OutOfMemory);
+        EXPECT_EQ(mon.stats().hypercalls, calls + 1);
+        EXPECT_EQ(mon.stats().rejectedRequests, rejected + 1);
+        EXPECT_EQ(rejected_counter(), counter_before + 1);
+        EXPECT_EQ(mon.stats().enclavesCreated, 0u);
+        EXPECT_EQ(mon.liveEnclaves(), 0u);
+        EXPECT_EQ(mon.ptAlloc().usedFrames(), used);
+    }
+}
+
+/** The used EPCM entries, for before/after comparisons. */
+std::vector<std::pair<u64, EpcmEntry>>
+usedEpcm(const Monitor &mon)
+{
+    std::vector<std::pair<u64, EpcmEntry>> used;
+    mon.epcm().forEachUsed([&](Hpa page, const EpcmEntry &entry) {
+        used.push_back({page.value, entry});
+    });
+    return used;
+}
+
+/** True iff the enclave's GPT has a terminal entry for @p gva. */
+bool
+gptMaps(Monitor &mon, const Enclave &enclave, Gva gva)
+{
+    const PageTable gpt(mon.mem(), nullptr, enclave.gptRoot);
+    return gpt.query(gva.value).ok();
+}
+
+MonitorConfig
+fourPageEpcConfig()
+{
+    MonitorConfig cfg = smallConfig();
+    cfg.layout.epcBytes = 4 * pageSize;
+    return cfg;
+}
+
+TEST(MonitorTest, AddPageAtEpcExhaustionLeavesNoTrace)
+{
+    Monitor mon(fourPageEpcConfig());
+    auto id = mon.hcEnclaveInit(validEnclaveConfig());
+    ASSERT_TRUE(id.ok());
+    const Gpa src(0x4'0000);
+    for (u64 i = 0; i < 4; ++i) {
+        ASSERT_TRUE(mon.hcEnclaveAddPage(*id, Gva(0x10'0000 + i * pageSize),
+                                         src, i == 0 ? AddPageKind::Tcs
+                                                     : AddPageKind::Reg)
+                        .ok());
+    }
+    ASSERT_EQ(mon.epcm().freePages(), 0u);
+
+    const Enclave &enclave = *mon.findEnclave(*id);
+    const Enclave before = enclave;
+    const auto epcm_before = usedEpcm(mon);
+    const Gva target(0x10'4000);
+    const Status st = mon.hcEnclaveAddPage(*id, target, src,
+                                           AddPageKind::Tcs);
+    ASSERT_FALSE(st.ok());
+    EXPECT_EQ(st.error(), HvError::OutOfEpc);
+    EXPECT_FALSE(gptMaps(mon, enclave, target));
+    EXPECT_EQ(usedEpcm(mon), epcm_before);
+    EXPECT_EQ(mon.epcm().freePages(), 0u);
+    EXPECT_EQ(enclave.addedPages, before.addedPages);
+    EXPECT_EQ(enclave.tcsPages, before.tcsPages);
+    EXPECT_EQ(enclave.measurement, before.measurement);
+    EXPECT_EQ(enclave.entryPoint, before.entryPoint);
+}
+
+TEST(MonitorTest, ReloadPageAtEpcExhaustionLeavesNoTrace)
+{
+    Machine machine(fourPageEpcConfig());
+    Monitor &mon = machine.monitor();
+    auto handle = machine.setupEnclave(0x10'0000, 3, 1, 0x77);
+    ASSERT_TRUE(handle.ok());
+    ASSERT_EQ(mon.epcm().freePages(), 0u);
+    const Gva target(0x10'1000);
+    auto blob = mon.hcEnclaveEvictPage(handle->id, target);
+    ASSERT_TRUE(blob.ok());
+
+    // A second enclave takes the freed EPC page.
+    EnclaveConfig other = validEnclaveConfig();
+    other.elrange = {Gva(0x80'0000), Gva(0x80'4000)};
+    other.mbufGva = Gva(0x90'0000);
+    auto other_id = mon.hcEnclaveInit(other);
+    ASSERT_TRUE(other_id.ok());
+    ASSERT_TRUE(mon.hcEnclaveAddPage(*other_id, Gva(0x80'0000),
+                                     Gpa(0x4'0000), AddPageKind::Reg)
+                    .ok());
+    ASSERT_EQ(mon.epcm().freePages(), 0u);
+
+    const Enclave &enclave = *mon.findEnclave(handle->id);
+    const Enclave before = enclave;
+    const auto epcm_before = usedEpcm(mon);
+    const Status st = mon.hcEnclaveReloadPage(handle->id, *blob);
+    ASSERT_FALSE(st.ok());
+    EXPECT_EQ(st.error(), HvError::OutOfEpc);
+    EXPECT_FALSE(gptMaps(mon, enclave, target));
+    EXPECT_EQ(usedEpcm(mon), epcm_before);
+    EXPECT_EQ(mon.epcm().freePages(), 0u);
+    EXPECT_EQ(enclave.addedPages, before.addedPages);
+    EXPECT_EQ(enclave.tcsPages, before.tcsPages);
+    EXPECT_EQ(enclave.measurement, before.measurement);
+    EXPECT_EQ(enclave.evictedPages, before.evictedPages);
+
+    // The blob still reloads once the EPC has room again.
+    ASSERT_TRUE(mon.hcEnclaveRemove(*other_id).ok());
+    EXPECT_TRUE(mon.hcEnclaveReloadPage(handle->id, *blob).ok());
+    EXPECT_TRUE(gptMaps(mon, enclave, target));
 }
 
 } // namespace

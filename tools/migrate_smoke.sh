@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
-# Sanitizer smoke for the snapshot/restore + live-migration subsystem:
-# build with ASan+UBSan and run every migrate-labeled test — the
-# snapshot/restore unit tests, dirty-tracking, the spec lockstep and
-# quiesced-fold equivalence suites, the migration campaign, the SMP
-# migration storms, and the image secrecy oracle — then the migrate
-# bench once as a correctness pass (its 2x downtime gate and internal
+# Sanitizer smoke for the snapshot/restore + live-migration subsystem
+# and the monitor underneath it: build with ASan+UBSan and run every
+# migrate-labeled test — the snapshot/restore unit tests,
+# dirty-tracking, the spec lockstep and quiesced-fold equivalence
+# suites, the migration campaign, the SMP migration storms, and the
+# image secrecy oracle — plus the paging, batch and hv suites (the
+# monitor's page steps, page tables and EPCM), then the migrate bench
+# once as a correctness pass (its 2x downtime gate and internal
 # FAILURE checks run under the sanitizers; the timing figures are
 # ignored).  Fails (non-zero) on any test failure, sanitizer report,
 # or build error — the sanitizer builds use -fno-sanitize-recover, so
@@ -27,9 +29,9 @@ cmake --build "${BUILD_DIR}" -j > /dev/null
 export ASAN_OPTIONS="halt_on_error=1:detect_leaks=1:abort_on_error=1"
 export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
 
-echo "== running migrate-labeled tests under ASan+UBSan"
-ctest --test-dir "${BUILD_DIR}" -L migrate --output-on-failure \
-    -E '^bench_'
+echo "== running migrate/paging/batch/hv-labeled tests under ASan+UBSan"
+ctest --test-dir "${BUILD_DIR}" -L 'migrate|paging|batch|hv' \
+    --output-on-failure -E '^bench_'
 
 echo "== running bench_migrate once under ASan+UBSan (gates only)"
 (cd "${BUILD_DIR}/bench" && ./bench_migrate > /dev/null)
