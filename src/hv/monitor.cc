@@ -65,7 +65,7 @@ const obs::Gauge statLiveEnclaves("hv.live_enclaves");
 /**
  * Accounting scope of one hypercall: counts it, emits the
  * HypercallEnter/Exit event pair (principal + result code), times it
- * into hv.hypercall_ns, and prefixes every log line emitted inside
+ * into hv.hypercall_ns, and labels every log line emitted inside
  * with the hypercall name and acting principal.  Failure returns at
  * the call sites route through fail() so the result code and the
  * rejected counters stay in sync by construction.
@@ -75,20 +75,19 @@ class HypercallScope
   public:
     HypercallScope(MonitorStats &stat_counters, const char *hc_name,
                    u64 hc_principal)
-        : stats(stat_counters), name(hc_name), principal(hc_principal),
-          logCtx("hc=%s principal=%llu", hc_name,
-                 (unsigned long long)hc_principal),
+        : stats(stat_counters), label(hc_name, hc_principal),
           timer(statHypercallNs, hc_name)
     {
         ++stats.hypercalls;
         statHypercalls.inc();
-        obs::traceEvent(obs::EventType::HypercallEnter, name, principal);
+        obs::traceEvent(obs::EventType::HypercallEnter, label.name,
+                        label.principal);
     }
 
     ~HypercallScope()
     {
-        obs::traceEvent(obs::EventType::HypercallExit, name, principal,
-                        rc);
+        obs::traceEvent(obs::EventType::HypercallExit, label.name,
+                        label.principal, rc);
     }
 
     /** Record a rejected request and pass the error through. */
@@ -103,10 +102,8 @@ class HypercallScope
 
   private:
     MonitorStats &stats;
-    const char *name;
-    u64 principal;
     u64 rc = 0;
-    ScopedLogContext logCtx;
+    LogLabel label;
     obs::ScopedTimer timer;
 };
 
@@ -270,7 +267,7 @@ Monitor::forEachEnclave(
         visit(enc);
 }
 
-std::size_t
+void
 Monitor::teardownEnclave(const Enclave &enclave)
 {
     const EnclaveId id = enclave.id;
@@ -291,7 +288,6 @@ Monitor::teardownEnclave(const Enclave &enclave)
 
     enclaves.erase(id);
     statLiveEnclaves.set(i64(enclaves.size()));
-    return owned.size();
 }
 
 Expected<EnclaveId>
@@ -398,9 +394,6 @@ Monitor::initEnclave(const EnclaveConfig &config)
     enclaves.emplace(*id, enclave);
     ++nextEnclaveId;
     statLiveEnclaves.set(i64(enclaves.size()));
-    inform("created (elrange [%#llx, %#llx))",
-           (unsigned long long)config.elrange.start.value,
-           (unsigned long long)config.elrange.end.value);
     return *id;
 }
 
@@ -669,9 +662,6 @@ Monitor::hcEnclaveInitFinish(EnclaveId id)
         return scope.fail(HvError::InvalidParam);
     enclave->measurement = measureStep(enclave->measurement, 0xE1417ull);
     enclave->state = EnclaveState::Initialized;
-    inform("initialized (%llu pages, %llu tcs)",
-           (unsigned long long)enclave->addedPages,
-           (unsigned long long)enclave->tcsPages);
     return okStatus();
 }
 
@@ -758,9 +748,8 @@ Monitor::hcEnclaveRemove(EnclaveId id)
     if (enclave->activeVcpus > 0)
         return scope.fail(HvError::BadEnclaveState);
 
-    const std::size_t scrubbed = teardownEnclave(*enclave);
+    teardownEnclave(*enclave);
     tlbModel.flushDomain(id);
-    inform("removed (%zu epc pages scrubbed)", scrubbed);
     return okStatus();
 }
 
@@ -969,12 +958,10 @@ Monitor::hcEnclaveSnapshot(EnclaveId id, SnapshotMode mode)
     // image the OS holds, and the source goes exactly as
     // hc_enclave_remove takes it (the flush above already covered it).
     if (mode == SnapshotMode::Move)
-        (void)teardownEnclave(*enclave);
+        teardownEnclave(*enclave);
 
     ++statCounters.imagesSnapshotted;
     statImagesSnapshotted.inc();
-    inform("snapshotted (%zu pages, mode=%s)", image.pages.size(),
-           mode == SnapshotMode::Move ? "move" : "fork");
     return image;
 }
 
@@ -1066,8 +1053,6 @@ Monitor::hcEnclaveRestoreImage(const EnclaveImage &image)
     statEnclavesCreated.inc();
     ++statCounters.imagesRestored;
     statImagesRestored.inc();
-    inform("restored image (%zu pages) as enclave %llu",
-           image.pages.size(), (unsigned long long)*new_id);
     return *new_id;
 }
 
@@ -1089,7 +1074,7 @@ Monitor::enclaveDirtyPages(EnclaveId id) const
 }
 
 Status
-Monitor::clearEnclaveDirty(EnclaveId id, bool flush_tlb)
+Monitor::clearEnclaveDirty(EnclaveId id)
 {
     Enclave *enclave = findEnclaveMutable(id);
     if (!enclave)
@@ -1104,10 +1089,8 @@ Monitor::clearEnclaveDirty(EnclaveId id, bool flush_tlb)
         (void)gpt.clearDirtyBit(va);
     // Cached write-permitted translations let later stores skip the
     // walk that re-stamps the bit; the flush forces the next write
-    // back through the walker.  Callers under SMP pass flush_tlb=false
-    // and run a vectored shootdown instead.
-    if (flush_tlb)
-        tlbModel.flushDomain(id);
+    // back through the walker.
+    tlbModel.flushDomain(id);
     return okStatus();
 }
 

@@ -437,12 +437,9 @@ class Monitor
 
     /**
      * Clear the dirty bits of every enclave page and flush the TLB
-     * domain so the next write re-walks (and re-stamps).  The SMP
-     * layer pairs the clear with a shootdown instead.
-     *
-     * @param flush_tlb false when the caller runs its own shootdown.
+     * domain so the next write re-walks (and re-stamps).
      */
-    Status clearEnclaveDirty(EnclaveId id, bool flush_tlb = true);
+    Status clearEnclaveDirty(EnclaveId id);
 
     /**
      * Store into a resident enclave page through the dirty-stamping
@@ -624,10 +621,8 @@ class Monitor
      * The one teardown path, shared by remove and a Move snapshot:
      * scrub and free the enclave's EPC pages, destroy its GPT and EPT,
      * and erase its record.  Flushes no TLB; the callers own that.
-     *
-     * @return the number of EPC pages scrubbed.
      */
-    std::size_t teardownEnclave(const Enclave &enclave);
+    void teardownEnclave(const Enclave &enclave);
 
     MonitorConfig cfg;
     PhysMem physMem;

@@ -93,7 +93,7 @@ migrateLive(hv::Machine &src, EnclaveId id, hv::Machine &dst,
     auto resident = mon.enclaveResidentPages(id);
     if (!resident)
         return resident.error();
-    if (auto st = mon.clearEnclaveDirty(id, true); !st)
+    if (auto st = mon.clearEnclaveDirty(id); !st)
         return st.error();
     {
         const auto t0 = Clock::now();
@@ -119,7 +119,7 @@ migrateLive(hv::Machine &src, EnclaveId id, hv::Machine &dst,
         if (dirty->size() <= opts.dirtyThreshold ||
             round == opts.maxPrecopyRounds)
             break;
-        if (auto st = mon.clearEnclaveDirty(id, true); !st)
+        if (auto st = mon.clearEnclaveDirty(id); !st)
             return st.error();
         const auto t0 = Clock::now();
         for (const Gva gva : *dirty)

@@ -610,9 +610,9 @@ Expected<hv::EnclaveImage>
 SmpMonitor::hcEnclaveSnapshot(VcpuId v, EnclaveId id,
                               hv::SnapshotMode mode)
 {
-    Expected<hv::EnclaveImage> image = HvError::PermissionDenied;
     std::vector<u64> vas;
-    {
+    Expected<hv::EnclaveImage> image =
+        [&]() -> Expected<hv::EnclaveImage> {
         // Exclusive: with move semantics the enclave table changes
         // shape, and even a fork must freeze enter/exit while the
         // residency check and the fold run.
@@ -627,17 +627,18 @@ SmpMonitor::hcEnclaveSnapshot(VcpuId v, EnclaveId id,
                 cpus[w]->arch.currentEnclave == id)
                 return HvError::BadEnclaveState;
         }
-        image = monitor().hcEnclaveSnapshot(id, mode);
-        if (!image)
-            return image;
-        vas.reserve(image->pages.size());
-        for (const hv::SealedBlob &blob : image->pages) {
+        auto folded = monitor().hcEnclaveSnapshot(id, mode);
+        if (!folded)
+            return folded;
+        vas.reserve(folded->pages.size());
+        for (const hv::SealedBlob &blob : folded->pages) {
             cpus[v]->tlb.invalidatePage(id, blob.gva.value);
             vas.push_back(blob.gva.value);
         }
         if (mode == hv::SnapshotMode::Move)
             forgetEnclave(id);
-    }
+        return folded;
+    }();
     // One vectored shootdown for the whole image fold (locks dropped
     // first: targets may need structuralLock to ack).
     if (!vas.empty())
@@ -849,6 +850,12 @@ SmpMonitor::translate(VcpuId v, Gva va, bool is_write)
     }
     if (!hpa)
         return hpa.error();
+    // Unlike Monitor::translate, an enclave write walk stamps no
+    // accessed/dirty bits here, so stores through memStore never reach
+    // enclaveDirtyPages and live pre-copy would miss them.  Every
+    // migrateLive source is a single-vCPU hv::Machine today; stamping
+    // from several vCPUs first needs atomic PTE A/D updates, since a
+    // stamp racing evict's unmap would be a lost update.
     cpu.tlb.insert(cpu.arch.domain, va.value,
                    {hpa->pageBase().value, is_write});
     return *hpa;

@@ -1,9 +1,9 @@
 #include "support/logging.hh"
 
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <vector>
 
 #include "support/thread_annotations.hh"
 
@@ -12,8 +12,6 @@ namespace hev
 
 namespace
 {
-bool verboseFlag = false;
-
 /** Serializes whole-line writes to stderr. */
 Mutex &
 logMutex()
@@ -22,29 +20,8 @@ logMutex()
     return mu;
 }
 
-struct ContextStack
-{
-    std::vector<std::string> frames;
-    std::string prefix; //!< cached "[a] [b] " rendering
-
-    void
-    rebuild()
-    {
-        prefix.clear();
-        for (const std::string &frame : frames) {
-            prefix += '[';
-            prefix += frame;
-            prefix += "] ";
-        }
-    }
-};
-
-ContextStack &
-contextStack()
-{
-    thread_local ContextStack stack;
-    return stack;
-}
+/** This thread's innermost live label (nullptr outside any). */
+thread_local const LogLabel *innermostLabel = nullptr;
 
 /** vsnprintf into a std::string (two-pass, handles any length). */
 std::string
@@ -69,7 +46,13 @@ vreport(const char *tag, const char *fmt, va_list ap)
     std::string line;
     line += tag;
     line += ": ";
-    line += contextStack().prefix;
+    if (const LogLabel *label = innermostLabel) {
+        line += "[hc=";
+        line += label->name;
+        line += " principal=";
+        line += std::to_string(label->principal);
+        line += "] ";
+    }
     line += vformat(fmt, ap);
     line += '\n';
     MutexGuard lock(logMutex());
@@ -78,39 +61,15 @@ vreport(const char *tag, const char *fmt, va_list ap)
 }
 } // namespace
 
-void
-setLogVerbose(bool verbose)
+LogLabel::LogLabel(const char *hc_name, u64 hc_principal)
+    : name(hc_name), principal(hc_principal), outer(innermostLabel)
 {
-    verboseFlag = verbose;
+    innermostLabel = this;
 }
 
-bool
-logVerbose()
+LogLabel::~LogLabel()
 {
-    return verboseFlag;
-}
-
-ScopedLogContext::ScopedLogContext(const char *fmt, ...)
-{
-    va_list ap;
-    va_start(ap, fmt);
-    ContextStack &stack = contextStack();
-    stack.frames.push_back(vformat(fmt, ap));
-    stack.rebuild();
-    va_end(ap);
-}
-
-ScopedLogContext::~ScopedLogContext()
-{
-    ContextStack &stack = contextStack();
-    stack.frames.pop_back();
-    stack.rebuild();
-}
-
-const char *
-logContextPrefix()
-{
-    return contextStack().prefix.c_str();
+    innermostLabel = outer;
 }
 
 void
@@ -139,17 +98,6 @@ warn(const char *fmt, ...)
     va_list ap;
     va_start(ap, fmt);
     vreport("warn", fmt, ap);
-    va_end(ap);
-}
-
-void
-inform(const char *fmt, ...)
-{
-    if (!verboseFlag)
-        return;
-    va_list ap;
-    va_start(ap, fmt);
-    vreport("info", fmt, ap);
     va_end(ap);
 }
 

@@ -1,28 +1,24 @@
 /**
  * @file
  * Status/diagnostic reporting in the gem5 style: panic for internal
- * invariant breakage, fatal for unusable user configuration, warn/inform
- * for non-fatal conditions.
+ * invariant breakage, fatal for unusable user configuration, warn for
+ * non-fatal conditions.
  *
  * Every report is formatted into one buffer and written to stderr as a
  * single line under a mutex, so concurrent campaign workers never
- * interleave bytes.  A thread-local context stack (ScopedLogContext)
- * prefixes each line with the ambient principal — e.g. every message
- * emitted inside a hypercall carries "[hc=init enclave=3]" uniformly
- * instead of each call site re-encoding the ids.
+ * interleave bytes.  A thread-local LogLabel prefixes each line with
+ * the hypercall the thread is inside and its acting principal, e.g.
+ * "panic: [hc=hc_enclave_exit principal=77] ...", instead of each call
+ * site re-encoding the ids.
  */
 
 #ifndef HEV_SUPPORT_LOGGING_HH
 #define HEV_SUPPORT_LOGGING_HH
 
-#include <cstdarg>
+#include "support/types.hh"
 
 namespace hev
 {
-
-/** Verbosity for inform(); warn/panic/fatal always print. */
-void setLogVerbose(bool verbose);
-bool logVerbose();
 
 /** Print and abort: an internal bug that should never happen. */
 [[noreturn]] void panic(const char *fmt, ...)
@@ -35,29 +31,30 @@ bool logVerbose();
 /** Non-fatal suspicious condition. */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
-/** Informational message (suppressed unless verbose). */
-void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
 /**
- * Pushes a context prefix onto this thread's log-context stack for
- * its lifetime.  Nested scopes accumulate left to right:
+ * Labels this thread's log lines with a hypercall name and principal
+ * for its lifetime.  Creating one formats and allocates nothing: the
+ * label is rendered only when a line is written.  The innermost live
+ * label wins; its destructor restores the enclosing one.
  *
- *     ScopedLogContext ctx("enclave=%u", id);
- *     warn("bad page");   // -> "warn: [enclave=3] bad page"
+ *     LogLabel label("hc_x", 3);
+ *     warn("bad page");   // -> "warn: [hc=hc_x principal=3] bad page"
  */
-class ScopedLogContext
+class LogLabel
 {
   public:
-    explicit ScopedLogContext(const char *fmt, ...)
-        __attribute__((format(printf, 2, 3)));
-    ~ScopedLogContext();
+    LogLabel(const char *hc_name, u64 hc_principal);
+    ~LogLabel();
 
-    ScopedLogContext(const ScopedLogContext &) = delete;
-    ScopedLogContext &operator=(const ScopedLogContext &) = delete;
+    LogLabel(const LogLabel &) = delete;
+    LogLabel &operator=(const LogLabel &) = delete;
+
+    const char *const name;
+    const u64 principal;
+
+  private:
+    const LogLabel *const outer;
 };
-
-/** The thread's current "[a] [b] " prefix ("" when no context). */
-const char *logContextPrefix();
 
 } // namespace hev
 

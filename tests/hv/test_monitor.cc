@@ -9,6 +9,7 @@
 #include "hv/machine.hh"
 #include "hv/monitor.hh"
 #include "obs/stats.hh"
+#include "support/logging.hh"
 
 namespace hev::hv
 {
@@ -347,6 +348,34 @@ TEST(MonitorTest, ExitOutsideEnclaveRejected)
     VCpu vcpu;
     vcpu.mode = CpuMode::GuestNormal;
     EXPECT_EQ(mon.hcEnclaveExit(vcpu).error(), HvError::BadEnclaveState);
+}
+
+TEST(MonitorDeathTest, PanicInsideHypercallCarriesItsLabel)
+{
+    Monitor mon(smallConfig());
+    VCpu vcpu;
+    vcpu.mode = CpuMode::GuestEnclave;
+    vcpu.currentEnclave = 77;
+    EXPECT_DEATH((void)mon.hcEnclaveExit(vcpu),
+                 "^panic: \\[hc=hc_enclave_exit principal=77\\] "
+                 "vCPU inside unknown enclave 77\n$");
+}
+
+TEST(MonitorTest, LabelEndsWithItsHypercall)
+{
+    Monitor mon(smallConfig());
+
+    VCpu outside;
+    ASSERT_EQ(mon.hcEnclaveExit(outside).error(),
+              HvError::BadEnclaveState);
+    testing::internal::CaptureStderr();
+    warn("after");
+    EXPECT_EQ(testing::internal::GetCapturedStderr(), "warn: after\n");
+
+    ASSERT_TRUE(mon.hcEnclaveInit(validEnclaveConfig()));
+    testing::internal::CaptureStderr();
+    warn("after");
+    EXPECT_EQ(testing::internal::GetCapturedStderr(), "warn: after\n");
 }
 
 TEST(MonitorTest, NestedEnterRejected)

@@ -2,10 +2,9 @@
  * @file
  * Dirty-bit tracking behind live migration's pre-copy rounds: write
  * walks stamp the GPT terminal entry (and the EPT entry of the slot),
- * reads do not, clearing pairs with a TLB flush — and the modeled
- * hazard that clearing *without* the flush lets cached write-permitted
- * translations skip the re-stamping walk, which is exactly why the
- * SMP path runs a shootdown after every clear.
+ * reads do not, and clearing always pairs with a TLB flush, so a
+ * cached write-permitted translation can never skip the re-stamping
+ * walk.
  */
 
 #include <gtest/gtest.h>
@@ -41,7 +40,7 @@ TEST(DirtyTracking, LaunchIsCleanAfterClear)
     auto enclave = machine.setupEnclave(elStart, 3, 1, 0xd117);
     ASSERT_TRUE(enclave);
     ASSERT_TRUE(
-        machine.monitor().clearEnclaveDirty(enclave->id, true).ok());
+        machine.monitor().clearEnclaveDirty(enclave->id).ok());
     EXPECT_TRUE(dirtyVas(machine.monitor(), enclave->id).empty());
 }
 
@@ -51,7 +50,7 @@ TEST(DirtyTracking, StoresStampExactlyTheirPages)
     auto enclave = machine.setupEnclave(elStart, 4, 1, 0xd118);
     ASSERT_TRUE(enclave);
     Monitor &mon = machine.monitor();
-    ASSERT_TRUE(mon.clearEnclaveDirty(enclave->id, true).ok());
+    ASSERT_TRUE(mon.clearEnclaveDirty(enclave->id).ok());
 
     ASSERT_TRUE(
         mon.enclaveStore(enclave->id, Gva(elStart + 0x8), 1).ok());
@@ -66,7 +65,7 @@ TEST(DirtyTracking, StoresStampExactlyTheirPages)
               (std::vector<u64>{elStart, elStart + 2 * pageSize}));
 
     // Reads never stamp.
-    ASSERT_TRUE(mon.clearEnclaveDirty(enclave->id, true).ok());
+    ASSERT_TRUE(mon.clearEnclaveDirty(enclave->id).ok());
     ASSERT_TRUE(mon.enclaveLoad(enclave->id, Gva(elStart + 0x8)).ok());
     EXPECT_TRUE(dirtyVas(mon, enclave->id).empty());
 }
@@ -77,7 +76,7 @@ TEST(DirtyTracking, GuestWritesThroughTheWalkerStamp)
     auto enclave = machine.setupEnclave(elStart, 2, 1, 0xd119);
     ASSERT_TRUE(enclave);
     Monitor &mon = machine.monitor();
-    ASSERT_TRUE(mon.clearEnclaveDirty(enclave->id, true).ok());
+    ASSERT_TRUE(mon.clearEnclaveDirty(enclave->id).ok());
 
     ASSERT_TRUE(mon.hcEnclaveEnter(enclave->id, machine.vcpu()).ok());
     ASSERT_TRUE(machine.memStore(Gva(elStart + 0x40), 0xbeef).ok());
@@ -87,12 +86,12 @@ TEST(DirtyTracking, GuestWritesThroughTheWalkerStamp)
               (std::vector<u64>{elStart}));
 }
 
-TEST(DirtyTracking, ClearWithoutFlushMissesCachedWriters)
+TEST(DirtyTracking, ClearReArmsPrimedWriters)
 {
-    // The documented hazard: a write-permitted translation cached in
-    // the TLB lets the next store skip the walk that re-stamps the
-    // dirty bit.  clearEnclaveDirty(flush_tlb=true) — or the vectored
-    // shootdown on the SMP path — closes the window.
+    // A write-permitted translation cached in the TLB would let the
+    // next store skip the walk that re-stamps the dirty bit; the
+    // clear's own domain flush forces that store back through the
+    // walker.
     Machine machine(smallConfig());
     auto enclave = machine.setupEnclave(elStart, 2, 1, 0xd11a);
     ASSERT_TRUE(enclave);
@@ -102,14 +101,7 @@ TEST(DirtyTracking, ClearWithoutFlushMissesCachedWriters)
     // Prime the TLB with a write-permitted entry.
     ASSERT_TRUE(machine.memStore(Gva(elStart), 1).ok());
 
-    // Clear WITHOUT flushing: the stale entry keeps serving writes.
-    ASSERT_TRUE(mon.clearEnclaveDirty(enclave->id, false).ok());
-    ASSERT_TRUE(machine.memStore(Gva(elStart), 2).ok());
-    EXPECT_TRUE(dirtyVas(mon, enclave->id).empty())
-        << "cached translation should have bypassed the stamping walk";
-
-    // Clear WITH the flush: the next write walks and stamps again.
-    ASSERT_TRUE(mon.clearEnclaveDirty(enclave->id, true).ok());
+    ASSERT_TRUE(mon.clearEnclaveDirty(enclave->id).ok());
     ASSERT_TRUE(machine.memStore(Gva(elStart), 3).ok());
     EXPECT_EQ(dirtyVas(mon, enclave->id),
               (std::vector<u64>{elStart}));
@@ -132,11 +124,9 @@ TEST(DirtyTracking, SnapshotFlushLeavesTrackingArmed)
     ASSERT_TRUE(mon.hcEnclaveExit(machine.vcpu()).ok());
     ASSERT_TRUE(
         mon.hcEnclaveSnapshot(enclave->id, SnapshotMode::Fork));
+    EXPECT_EQ(mon.tlb().countDomain(enclave->id), 0u);
 
-    // Even a flush-less clear is safe right after the snapshot: the
-    // snapshot's own domain flush already evicted the cached entry,
-    // so the next guest write walks and stamps.
-    ASSERT_TRUE(mon.clearEnclaveDirty(enclave->id, false).ok());
+    ASSERT_TRUE(mon.clearEnclaveDirty(enclave->id).ok());
     ASSERT_TRUE(mon.hcEnclaveEnter(enclave->id, machine.vcpu()).ok());
     ASSERT_TRUE(machine.memStore(Gva(elStart), 2).ok());
     ASSERT_TRUE(mon.hcEnclaveExit(machine.vcpu()).ok());

@@ -3,7 +3,7 @@
  * Snapshot/restore under SMP: the exclusive structural lock and
  * all-vCPU residency check of SmpMonitor::hcEnclaveSnapshot, move-mode
  * teardown of the per-vCPU enclave contexts, restore onto a second
- * multi-vCPU host, and a real-thread migration storm — snapshots raced
+ * multi-vCPU host, and a real-thread snapshot storm — snapshots raced
  * against enter/store/exit workers, with the anti-rollback ledger
  * checked on the images the storm produced.
  */

@@ -1,9 +1,8 @@
 /**
  * @file
- * Logging subsystem tests: verbosity gating, format correctness, the
- * thread-local context prefix, and — the property the mutex plus
- * single-fwrite design exists for — no byte interleaving between
- * concurrent writers.
+ * Logging subsystem tests: format correctness, the thread-local
+ * hypercall label, and — the property the mutex plus single-fwrite
+ * design exists for — no byte interleaving between concurrent writers.
  */
 
 #include <algorithm>
@@ -43,50 +42,40 @@ TEST(Logging, WarnFormatsTaggedLine)
     EXPECT_EQ(text, "warn: value 42 at 0x1000\n");
 }
 
-TEST(Logging, InformSuppressedUnlessVerbose)
-{
-    setLogVerbose(false);
-    testing::internal::CaptureStderr();
-    inform("hidden %d", 1);
-    EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
-
-    setLogVerbose(true);
-    testing::internal::CaptureStderr();
-    inform("shown %d", 2);
-    EXPECT_EQ(testing::internal::GetCapturedStderr(),
-              "info: shown 2\n");
-    setLogVerbose(false);
-}
-
-TEST(Logging, WarnAlwaysPrintsRegardlessOfVerbosity)
-{
-    setLogVerbose(false);
-    testing::internal::CaptureStderr();
-    warn("always");
-    EXPECT_EQ(testing::internal::GetCapturedStderr(), "warn: always\n");
-}
-
 TEST(Logging, ContextPrefixEmptyByDefault)
 {
-    EXPECT_STREQ(logContextPrefix(), "");
+    testing::internal::CaptureStderr();
+    warn("bare");
+    EXPECT_EQ(testing::internal::GetCapturedStderr(), "warn: bare\n");
 }
 
 TEST(Logging, ContextPrefixNestsAndUnwinds)
 {
-    ScopedLogContext outer("enclave=%u", 3u);
-    EXPECT_STREQ(logContextPrefix(), "[enclave=3] ");
+    // The innermost live label alone prefixes a line; ending it
+    // restores the enclosing one.
+    testing::internal::CaptureStderr();
     {
-        ScopedLogContext inner("va=%#x", 0x1000);
-        EXPECT_STREQ(logContextPrefix(), "[enclave=3] [va=0x1000] ");
+        LogLabel outer("hc_outer", 3);
+        warn("a");
+        {
+            LogLabel inner("hc_inner", 4);
+            warn("b");
+        }
+        warn("c");
     }
-    EXPECT_STREQ(logContextPrefix(), "[enclave=3] ");
+    warn("d");
+    EXPECT_EQ(testing::internal::GetCapturedStderr(),
+              "warn: [hc=hc_outer principal=3] a\n"
+              "warn: [hc=hc_inner principal=4] b\n"
+              "warn: [hc=hc_outer principal=3] c\n"
+              "warn: d\n");
 }
 
 TEST(Logging, ContextPrefixAppearsInMessages)
 {
     testing::internal::CaptureStderr();
     {
-        ScopedLogContext ctx("hc=%s principal=%u", "test", 7u);
+        LogLabel label("test", 7);
         warn("rejected");
     }
     EXPECT_EQ(testing::internal::GetCapturedStderr(),
@@ -95,12 +84,14 @@ TEST(Logging, ContextPrefixAppearsInMessages)
 
 TEST(Logging, ContextIsThreadLocal)
 {
-    ScopedLogContext ctx("main-thread");
-    std::string other;
-    std::thread t([&] { other = logContextPrefix(); });
+    LogLabel label("main_thread", 1);
+    testing::internal::CaptureStderr();
+    std::thread t([] { warn("other"); });
     t.join();
-    EXPECT_EQ(other, "");
-    EXPECT_STREQ(logContextPrefix(), "[main-thread] ");
+    warn("main");
+    EXPECT_EQ(testing::internal::GetCapturedStderr(),
+              "warn: other\n"
+              "warn: [hc=main_thread principal=1] main\n");
 }
 
 TEST(Logging, ConcurrentWritersNeverInterleaveBytes)
@@ -113,7 +104,7 @@ TEST(Logging, ConcurrentWritersNeverInterleaveBytes)
         std::vector<std::thread> pool;
         for (int who = 0; who < threads; ++who) {
             pool.emplace_back([who] {
-                ScopedLogContext ctx("worker=%d", who);
+                LogLabel label("worker", u64(who));
                 for (int i = 0; i < perThread; ++i)
                     warn("w%d message %d of %d", who, i, perThread);
             });
@@ -129,7 +120,7 @@ TEST(Logging, ConcurrentWritersNeverInterleaveBytes)
     for (int who = 0; who < threads; ++who) {
         for (int i = 0; i < perThread; ++i) {
             std::ostringstream line;
-            line << "warn: [worker=" << who << "] w" << who
+            line << "warn: [hc=worker principal=" << who << "] w" << who
                  << " message " << i << " of " << perThread;
             expected.insert(line.str());
         }
