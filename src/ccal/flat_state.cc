@@ -1,5 +1,7 @@
 #include "ccal/flat_state.hh"
 
+#include <algorithm>
+
 #include "mirlight/interp.hh"
 #include "support/logging.hh"
 
@@ -12,9 +14,64 @@ using mir::Trap;
 using mir::TrapKind;
 using mir::Value;
 
-FlatState::FlatState(const Geometry &geometry) : geo(geometry)
+FrameWords::FrameWords(const FrameWords &other) : frames(other.frames.size())
 {
-    words.assign(geo.frameCount * entriesPerTable, 0);
+    for (u64 i = 0; i < frames.size(); ++i)
+        if (other.frames[i])
+            frames[i] = std::make_unique<Page>(*other.frames[i]);
+}
+
+FrameWords &
+FrameWords::operator=(const FrameWords &other)
+{
+    if (this != &other)
+        *this = FrameWords(other);
+    return *this;
+}
+
+void
+FrameWords::set(u64 index, u64 value)
+{
+    std::unique_ptr<Page> &page = frames[index / entriesPerTable];
+    if (!page) {
+        if (value == 0)
+            return;
+        page = std::make_unique<Page>();
+    }
+    (*page)[index % entriesPerTable] = value;
+}
+
+u64
+FrameWords::framesPresent() const
+{
+    return u64(std::count_if(frames.begin(), frames.end(),
+                             [](const auto &page) { return bool(page); }));
+}
+
+bool
+FrameWords::operator==(const FrameWords &other) const
+{
+    if (frames.size() != other.frames.size())
+        return false;
+    const auto zero = [](const Page &page) {
+        return std::all_of(page.begin(), page.end(),
+                           [](u64 word) { return word == 0; });
+    };
+    for (u64 i = 0; i < frames.size(); ++i) {
+        const Page *a = frames[i].get();
+        const Page *b = other.frames[i].get();
+        if (a == b)
+            continue;
+        const bool same = !a ? zero(*b) : !b ? zero(*a) : *a == *b;
+        if (!same)
+            return false;
+    }
+    return true;
+}
+
+FlatState::FlatState(const Geometry &geometry)
+    : geo(geometry), words(geometry.frameCount)
+{
     allocated.assign(geo.frameCount, false);
     epcm.assign(geo.epcCount, AbsEpcmEntry{});
 }
@@ -40,14 +97,16 @@ FlatState::writeWord(u64 addr, u64 value)
     if (!validWord(addr))
         panic("flat state write of invalid word %#llx",
               (unsigned long long)addr);
-    words[(addr - geo.frameBase) / sizeof(u64)] = value;
+    words.set((addr - geo.frameBase) / sizeof(u64), value);
 }
 
 void
 FlatState::zeroFrame(u64 frame)
 {
-    for (u64 off = 0; off < pageSize; off += sizeof(u64))
-        writeWord(frame + off, 0);
+    if (frame % pageSize != 0 || !geo.inFrameArea(frame))
+        panic("flat state zero of invalid frame %#llx",
+              (unsigned long long)frame);
+    words.zeroFrame((frame - geo.frameBase) / pageSize);
 }
 
 Outcome<Value>

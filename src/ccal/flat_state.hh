@@ -14,7 +14,9 @@
 #ifndef HEV_CCAL_FLAT_STATE_HH
 #define HEV_CCAL_FLAT_STATE_HH
 
+#include <array>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "ccal/geometry.hh"
@@ -28,6 +30,51 @@ class Interp;
 
 namespace hev::ccal
 {
+
+/**
+ * The frame area's contents: one u64 per word, stored one page per
+ * frame.  A frame's page is created on its first nonzero write, and an
+ * absent frame reads as 0, so a state costs the frames it uses, not the
+ * whole area.  Copies clone only the frames that exist, and equality
+ * compares contents: an absent frame equals an all-zero one.
+ */
+class FrameWords
+{
+  public:
+    explicit FrameWords(u64 frame_count) : frames(frame_count) {}
+
+    FrameWords(const FrameWords &other);
+    FrameWords &operator=(const FrameWords &other);
+    FrameWords(FrameWords &&) noexcept = default;
+    FrameWords &operator=(FrameWords &&) noexcept = default;
+
+    /** Number of words (frames * entriesPerTable). */
+    u64 size() const { return frames.size() * entriesPerTable; }
+
+    /** Word `index`; index must be < size(). */
+    u64
+    operator[](u64 index) const
+    {
+        const Page *page = frames[index / entriesPerTable].get();
+        return page ? (*page)[index % entriesPerTable] : 0;
+    }
+
+    /** Store word `index`; index must be < size(). */
+    void set(u64 index, u64 value);
+
+    /** Zero frame `frame` (< size() / entriesPerTable), freeing its page. */
+    void zeroFrame(u64 frame) { frames[frame].reset(); }
+
+    /** Frames that hold a page (written nonzero since last zeroed). */
+    u64 framesPresent() const;
+
+    bool operator==(const FrameWords &other) const;
+
+  private:
+    using Page = std::array<u64, entriesPerTable>;
+
+    std::vector<std::unique_ptr<Page>> frames;
+};
 
 /** One EPCM entry of the abstract machine. */
 struct AbsEpcmEntry
@@ -122,7 +169,7 @@ struct FlatState
     Geometry geo;
 
     /** Frame-area contents, one u64 per word. */
-    std::vector<u64> words;
+    FrameWords words;
     /** Frame-allocator bitmap, one flag per frame. */
     std::vector<bool> allocated;
     /** EPCM, one entry per EPC page. */

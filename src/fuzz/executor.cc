@@ -1486,9 +1486,13 @@ class Executor
                 he.state == hv::EpcPageState::Free ? epcStateFree
                 : he.state == hv::EpcPageState::Reg ? epcStateReg
                                                     : epcStateTcs;
-            std::ostringstream msg;
-            msg << where << ": EPCM entry " << i << " differs: ";
+            const auto differs = [&] {
+                std::ostringstream msg;
+                msg << where << ": EPCM entry " << i << " differs: ";
+                return msg;
+            };
             if (hv_state != se.state) {
+                auto msg = differs();
                 msg << "state hv=" << hv_state << " spec=" << se.state;
                 return msg.str();
             }
@@ -1498,10 +1502,12 @@ class Executor
             const i64 hv_owner =
                 owner_it == idMap.end() ? -1 : owner_it->second;
             if (hv_owner != se.owner) {
+                auto msg = differs();
                 msg << "owner hv=" << hv_owner << " spec=" << se.owner;
                 return msg.str();
             }
             if (he.linAddr.value != se.linAddr) {
+                auto msg = differs();
                 msg << "linear address hv=" << std::hex
                     << he.linAddr.value << " spec=" << se.linAddr;
                 return msg.str();

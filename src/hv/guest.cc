@@ -45,15 +45,20 @@ PrimaryOs::freePage(Gpa page)
     return okStatus();
 }
 
-Expected<u64>
-PrimaryOs::physRead(Gpa addr) const
+PageTable
+PrimaryOs::normalEpt() const
 {
     // The OS kernel can touch any guest-physical address: model that as
     // a direct EPT translation (identity GPT), which is what an OS
     // running with a full linear mapping achieves.
-    const PageTable ept(const_cast<PhysMem &>(monitor.mem()), nullptr,
-                        monitor.normalEptRoot());
-    auto tr = ept.translate(addr.value, false, false);
+    return PageTable(const_cast<PhysMem &>(monitor.mem()), nullptr,
+                     monitor.normalEptRoot());
+}
+
+Expected<u64>
+PrimaryOs::physRead(Gpa addr) const
+{
+    auto tr = normalEpt().translate(addr.value, false, false);
     if (!tr)
         return tr.error();
     return monitor.mem().read(Hpa(tr->physAddr));
@@ -62,9 +67,7 @@ PrimaryOs::physRead(Gpa addr) const
 Status
 PrimaryOs::physWrite(Gpa addr, u64 value)
 {
-    const PageTable ept(const_cast<PhysMem &>(monitor.mem()), nullptr,
-                        monitor.normalEptRoot());
-    auto tr = ept.translate(addr.value, true, false);
+    auto tr = normalEpt().translate(addr.value, true, false);
     if (!tr)
         return tr.error();
     monitor.mem().write(Hpa(tr->physAddr), value);
@@ -74,10 +77,13 @@ PrimaryOs::physWrite(Gpa addr, u64 value)
 Status
 PrimaryOs::zeroPage(Gpa page)
 {
-    for (u64 off = 0; off < pageSize; off += sizeof(u64)) {
-        if (auto st = physWrite(page + off, 0); !st)
-            return st.error();
-    }
+    if (page.value % pageSize != 0)
+        return HvError::NotAligned;
+    // The smallest EPT leaf is a page, so one translation covers it.
+    auto tr = normalEpt().translate(page.value, true, false);
+    if (!tr)
+        return tr.error();
+    monitor.mem().zeroPage(Hpa(tr->physAddr));
     return okStatus();
 }
 
@@ -87,11 +93,9 @@ PrimaryOs::createPageTable()
     return allocPage();
 }
 
-Status
-PrimaryOs::gptMap(Gpa root, u64 va, Gpa target, PteFlags flags)
+Expected<Gpa>
+PrimaryOs::gptLeafTable(Gpa root, u64 va)
 {
-    if (va % pageSize != 0 || target.value % pageSize != 0)
-        return HvError::NotAligned;
     Gpa table = root;
     for (int level = pagingLevels; level > 1; --level) {
         const u64 index = Gva(va).tableIndex(level);
@@ -112,15 +116,45 @@ PrimaryOs::gptMap(Gpa root, u64 va, Gpa target, PteFlags flags)
         }
         table = Gpa(entry.addr());
     }
-    const u64 index = Gva(va).tableIndex(1);
-    auto raw = physRead(table + index * sizeof(u64));
-    if (!raw)
-        return raw.error();
-    if (Pte(*raw).present())
-        return HvError::AlreadyMapped;
+    return table;
+}
+
+Status
+PrimaryOs::gptMap(Gpa root, u64 va, Gpa target, PteFlags flags)
+{
+    return gptMapRange(root, va, target, 1, flags);
+}
+
+Status
+PrimaryOs::gptMapRange(Gpa root, u64 va, Gpa target, u64 pages,
+                       PteFlags flags)
+{
+    if (va % pageSize != 0 || target.value % pageSize != 0)
+        return HvError::NotAligned;
     flags.huge = false;
-    return physWrite(table + index * sizeof(u64),
-                     Pte::make(target.value, flags).raw());
+    u64 done = 0;
+    while (done < pages) {
+        const u64 page_va = va + done * pageSize;
+        auto leaf = gptLeafTable(root, page_va);
+        if (!leaf)
+            return leaf.error();
+        // Translate the leaf once for reading; a write needs the same
+        // walk to have been writable, as physWrite would check.
+        auto tr = normalEpt().translate(leaf->value, false, false);
+        if (!tr)
+            return tr.error();
+        u64 *entries = monitor.mem().pageWordsMut(Hpa(tr->physAddr));
+        for (u64 index = Gva(page_va).tableIndex(1);
+             index < entriesPerTable && done < pages; ++index, ++done) {
+            if (Pte(entries[index]).present())
+                return HvError::AlreadyMapped;
+            if (!tr->flags.writable)
+                return HvError::PermissionDenied;
+            entries[index] =
+                Pte::make(target.value + done * pageSize, flags).raw();
+        }
+    }
+    return okStatus();
 }
 
 Status

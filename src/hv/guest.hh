@@ -52,7 +52,7 @@ class PrimaryOs
     /** 64-bit store at a guest-physical address. */
     Status physWrite(Gpa addr, u64 value);
 
-    /** Zero one guest-physical page. */
+    /** Zero one page-aligned guest-physical page. */
     Status zeroPage(Gpa page);
 
     /// @}
@@ -72,6 +72,17 @@ class PrimaryOs
      */
     Status gptMap(Gpa root, u64 va, Gpa target, PteFlags flags);
 
+    /**
+     * Install `pages` consecutive 4 KiB mappings va + i * 4K ->
+     * target + i * 4K: the same tables, frames and allocation order as
+     * that many gptMap calls, with one walk per leaf table.  Stops at
+     * the first failure, leaving the mappings before it in place.  The
+     * walk assumes a leaf table is not also one of the upper tables on
+     * its own path, as in any table built by these calls.
+     */
+    Status gptMapRange(Gpa root, u64 va, Gpa target, u64 pages,
+                       PteFlags flags);
+
     /** Remove a 4 KiB mapping from a guest-built table. */
     Status gptUnmap(Gpa root, u64 va);
 
@@ -88,6 +99,15 @@ class PrimaryOs
     u64 usedPages() const { return usedCount; }
 
   private:
+    /** The normal EPT, through which every guest-physical access goes. */
+    PageTable normalEpt() const;
+
+    /**
+     * Walk root down to the leaf table covering va, allocating missing
+     * intermediate tables from the guest pool.
+     */
+    Expected<Gpa> gptLeafTable(Gpa root, u64 va);
+
     Monitor &monitor;
     /** One bit per page of normal memory; true = allocated. */
     std::vector<bool> pageBitmap;

@@ -12,19 +12,21 @@ namespace
 /**
  * Containment-checked recursive walk: visit terminal mappings, refuse
  * to follow intermediate entries that leave the monitor's frame area.
+ * A table inside the area is a whole valid page, so its entries are
+ * read straight from the raw page.
  *
  * @return false iff the walk hit an escaped table frame.
  */
 bool
-walkContained(const Monitor &mon, const PageTable &pt, Hpa table,
-              int level, u64 va_prefix,
+walkContained(const Monitor &mon, Hpa table, int level, u64 va_prefix,
               const std::function<void(u64, Pte, int)> &visit)
 {
     if (!mon.ptAlloc().inArea(table))
         return false;
+    const u64 *entries = mon.mem().pageWords(table);
     bool contained = true;
     for (u64 index = 0; index < entriesPerTable; ++index) {
-        const Pte entry = pt.entryAt(table, index);
+        const Pte entry(entries[index]);
         if (!entry.present())
             continue;
         const u64 va =
@@ -32,8 +34,8 @@ walkContained(const Monitor &mon, const PageTable &pt, Hpa table,
         if (level == 1 || entry.huge()) {
             visit(va, entry, level);
         } else {
-            contained = walkContained(mon, pt, Hpa(entry.addr()),
-                                      level - 1, va, visit) &&
+            contained = walkContained(mon, Hpa(entry.addr()), level - 1,
+                                      va, visit) &&
                         contained;
         }
     }
@@ -52,19 +54,20 @@ report(std::vector<std::string> &violations, const std::string &what)
  * escapes are walkContained's family to report.
  */
 void
-forEachTableFrame(const Monitor &mon, const PageTable &pt, Hpa table,
-                  int level, const std::function<void(Hpa)> &visit)
+forEachTableFrame(const Monitor &mon, Hpa table, int level,
+                  const std::function<void(Hpa)> &visit)
 {
     if (!mon.ptAlloc().inArea(table))
         return;
     visit(table);
     if (level == 1)
         return;
+    const u64 *entries = mon.mem().pageWords(table);
     for (u64 index = 0; index < entriesPerTable; ++index) {
-        const Pte entry = pt.entryAt(table, index);
+        const Pte entry(entries[index]);
         if (!entry.present() || entry.huge())
             continue;
-        forEachTableFrame(mon, pt, Hpa(entry.addr()), level - 1, visit);
+        forEachTableFrame(mon, Hpa(entry.addr()), level - 1, visit);
     }
 }
 
@@ -80,9 +83,8 @@ checkMonitorInvariants(const Monitor &mon)
     // --- Normal-VM containment: the OS's EPT stays out of the
     // secure region entirely.
     {
-        const PageTable ept(mem, nullptr, mon.normalEptRoot());
         const bool contained = walkContained(
-            mon, ept, mon.normalEptRoot(), pagingLevels, 0,
+            mon, mon.normalEptRoot(), pagingLevels, 0,
             [&](u64 gpa, Pte entry, int level) {
                 const u64 span = 1ull << (pageShift + 9 * (level - 1));
                 const HpaRange target{Hpa(entry.addr()),
@@ -116,7 +118,7 @@ checkMonitorInvariants(const Monitor &mon)
 
         // EPT shape: no huge pages, targets restricted.
         const bool ept_contained = walkContained(
-            mon, ept, enclave.eptRoot, pagingLevels, 0,
+            mon, enclave.eptRoot, pagingLevels, 0,
             [&](u64 gpa, Pte entry, int level) {
                 if (level != 1 || entry.huge()) {
                     std::ostringstream msg;
@@ -135,7 +137,7 @@ checkMonitorInvariants(const Monitor &mon)
 
         // GPT shape + composed translation facts.
         const bool gpt_contained = walkContained(
-            mon, gpt, enclave.gptRoot, pagingLevels, 0,
+            mon, enclave.gptRoot, pagingLevels, 0,
             [&](u64 gva, Pte entry, int level) {
                 if (level != 1 || entry.huge()) {
                     std::ostringstream msg;
@@ -276,9 +278,8 @@ checkMonitorInvariants(const Monitor &mon)
     // manufactures).
     {
         const auto audit = [&](const std::string &what, Hpa root) {
-            const PageTable pt(mem, nullptr, root);
             forEachTableFrame(
-                mon, pt, root, pagingLevels, [&](Hpa frame) {
+                mon, root, pagingLevels, [&](Hpa frame) {
                     if (!mon.ptAlloc().allocated(frame)) {
                         std::ostringstream msg;
                         msg << what << ": table frame " << std::hex

@@ -14,13 +14,10 @@ Machine::Machine(const MonitorConfig &config)
     if (!root)
         fatal("cannot allocate the kernel GPT root");
     kernelGpt = *root;
-    const u64 normal_bytes = config.layout.normalRange().size();
-    for (u64 addr = 0; addr < normal_bytes; addr += pageSize) {
-        if (auto st = primaryOs.gptMap(kernelGpt, addr, Gpa(addr),
-                                       PteFlags::userRw()); !st)
-            fatal("kernel GPT identity map failed: %s",
-                  hvErrorName(st.error()));
-    }
+    const u64 normal_pages = config.layout.normalRange().size() / pageSize;
+    if (auto st = primaryOs.gptMapRange(kernelGpt, 0, Gpa(0), normal_pages,
+                                        PteFlags::userRw()); !st)
+        fatal("kernel GPT identity map failed: %s", hvErrorName(st.error()));
 
     cpu.mode = CpuMode::GuestNormal;
     cpu.domain = normalVmDomain;

@@ -949,14 +949,11 @@ Monitor::hcEnclaveSnapshot(EnclaveId id, SnapshotMode mode)
     enclave->nextSealVersion += resident.size();
     image.mac = enclaveImageMac(image);
 
-    // One TLB maintenance action quiesces every cached translation of
-    // the domain (the SMP wrapper turns this into a single vectored
-    // shootdown across resident cores).
-    tlbModel.flushDomain(id);
-
+    // No TLB maintenance: with no vCPU resident the domain caches
+    // nothing, because every hc_enclave_exit already flushed it.
     // Move semantics is evict-all + remove: the pages now live in the
     // image the OS holds, and the source goes exactly as
-    // hc_enclave_remove takes it (the flush above already covered it).
+    // hc_enclave_remove takes it.
     if (mode == SnapshotMode::Move)
         teardownEnclave(*enclave);
 

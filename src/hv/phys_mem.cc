@@ -1,18 +1,47 @@
 #include "hv/phys_mem.hh"
 
+#include <sys/mman.h>
+
+#include <cstring>
+
 #include "support/logging.hh"
 
 namespace hev::hv
 {
 
-PhysMem::PhysMem(const MemLayout &layout) : memLayout(layout)
+namespace
+{
+
+/** Map zeroed words for a valid layout; the kernel zeroes each page on
+ *  first touch. */
+u64 *
+mapZeroedWords(const MemLayout &layout)
 {
     if (!layout.valid())
         fatal("invalid physical memory layout (total=%llu pt=%llu epc=%llu)",
               (unsigned long long)layout.totalBytes,
               (unsigned long long)layout.ptAreaBytes,
               (unsigned long long)layout.epcBytes);
-    words.assign(layout.totalBytes / sizeof(u64), 0);
+    void *base = mmap(nullptr, layout.totalBytes, PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (base == MAP_FAILED)
+        fatal("cannot map %llu bytes of physical memory",
+              (unsigned long long)layout.totalBytes);
+    return static_cast<u64 *>(base);
+}
+
+} // namespace
+
+PhysMem::PhysMem(const MemLayout &layout)
+    : memLayout(layout),
+      words(mapZeroedWords(layout), Unmap{layout.totalBytes})
+{
+}
+
+void
+PhysMem::Unmap::operator()(u64 *base) const
+{
+    munmap(base, bytes);
 }
 
 bool
@@ -83,11 +112,7 @@ PhysMem::pageWordsMut(Hpa page_base)
 void
 PhysMem::zeroPage(Hpa page_base)
 {
-    if (!page_base.pageAligned())
-        panic("zeroPage of unaligned address %#llx",
-              (unsigned long long)page_base.value);
-    for (u64 off = 0; off < pageSize; off += sizeof(u64))
-        write(page_base + off, 0);
+    std::memset(pageWordsMut(page_base), 0, pageSize);
 }
 
 void

@@ -15,7 +15,7 @@
 #ifndef HEV_HV_PHYS_MEM_HH
 #define HEV_HV_PHYS_MEM_HH
 
-#include <vector>
+#include <memory>
 
 #include "hv/mem_layout.hh"
 #include "support/result.hh"
@@ -24,7 +24,14 @@
 namespace hev::hv
 {
 
-/** Word-addressable physical memory (64-bit words, like the EPT frames). */
+/**
+ * Word-addressable physical memory (64-bit words, like the EPT frames).
+ *
+ * The words live in an anonymous mapping, which the kernel zeroes one
+ * page at a time on first touch: a machine costs only the memory its
+ * run reaches.  PhysMem is move-only; a moved-from object owns no
+ * memory.
+ */
 class PhysMem
 {
   public:
@@ -59,15 +66,15 @@ class PhysMem
      * Raw word view of one whole page, for bulk paths (batched page
      * copies and measurement folds) that would otherwise pay an
      * out-of-line read/write per word.  The pointer stays valid until
-     * the PhysMem is destroyed; page_base must be page aligned and in
-     * range.
+     * the memory is released (a move hands it on); page_base must be
+     * page aligned and in range.
      */
     const u64 *pageWords(Hpa page_base) const;
 
     /** Mutable variant of pageWords(). */
     u64 *pageWordsMut(Hpa page_base);
 
-    /** Zero an entire page. */
+    /** Zero an entire page; page_base must be page aligned and in range. */
     void zeroPage(Hpa page_base);
 
     /** Copy one page of memory; both addresses must be page aligned. */
@@ -81,8 +88,15 @@ class PhysMem
     }
 
   private:
+    /** Releases the mapping; carries its length for munmap. */
+    struct Unmap
+    {
+        u64 bytes = 0;
+        void operator()(u64 *base) const;
+    };
+
     MemLayout memLayout;
-    std::vector<u64> words;
+    std::unique_ptr<u64[], Unmap> words;
 };
 
 } // namespace hev::hv

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "ccal/checker.hh"
 #include "ccal/flat_state.hh"
 #include "mirlight/interp.hh"
 
@@ -18,8 +19,9 @@ TEST(FlatStateTest, FreshStateIsZeroed)
 {
     FlatState s;
     EXPECT_EQ(s.words.size(), s.geo.frameCount * entriesPerTable);
-    for (u64 w : s.words)
-        ASSERT_EQ(w, 0ull);
+    EXPECT_EQ(s.words.framesPresent(), 0u);
+    for (u64 i = 0; i < s.words.size(); ++i)
+        ASSERT_EQ(s.words[i], 0ull);
     for (bool bit : s.allocated)
         ASSERT_FALSE(bit);
     for (const AbsEpcmEntry &e : s.epcm)
@@ -54,9 +56,85 @@ TEST(FlatStateTest, ZeroFrame)
     FlatState s;
     const u64 frame = s.frameAt(1);
     s.writeEntry(frame, 5, 0x1234);
+    s.writeEntry(s.frameAt(2), 0, 0x99);
     s.zeroFrame(frame);
     for (u64 i = 0; i < entriesPerTable; ++i)
         ASSERT_EQ(s.readEntry(frame, i), 0ull);
+    // Zeroing frees the frame's page and leaves its neighbour alone.
+    EXPECT_EQ(s.words.framesPresent(), 1u);
+    EXPECT_EQ(s.readEntry(s.frameAt(2), 0), 0x99ull);
+}
+
+TEST(FrameWordsTest, AbsentFrameEqualsExplicitlyZeroedOne)
+{
+    FrameWords absent(4), zeroed(4);
+    const u64 word = 2 * entriesPerTable + 7;
+    zeroed.set(word, 5);
+    zeroed.set(word, 0);
+    ASSERT_EQ(zeroed.framesPresent(), 1u);
+    EXPECT_EQ(absent.framesPresent(), 0u);
+    EXPECT_EQ(absent, zeroed);
+    EXPECT_EQ(zeroed, absent);
+    zeroed.set(word + 1, 3);
+    EXPECT_NE(absent, zeroed);
+    EXPECT_NE(zeroed, absent);
+}
+
+TEST(FrameWordsTest, CopyIsDeep)
+{
+    FrameWords original(4);
+    original.set(entriesPerTable + 1, 11);
+    FrameWords copy = original;
+    EXPECT_EQ(copy, original);
+    copy.set(entriesPerTable + 1, 22);
+    copy.set(3 * entriesPerTable, 33);
+    EXPECT_EQ(original[entriesPerTable + 1], 11ull);
+    EXPECT_EQ(original[3 * entriesPerTable], 0ull);
+    EXPECT_EQ(original.framesPresent(), 1u);
+
+    FrameWords assigned(4);
+    assigned.set(0, 1);
+    assigned = original;
+    EXPECT_EQ(assigned, original);
+    EXPECT_EQ(assigned[0], 0ull);
+    assigned.set(entriesPerTable + 1, 44);
+    EXPECT_EQ(original[entriesPerTable + 1], 11ull);
+}
+
+TEST(FrameWordsTest, WritingZeroToAbsentFrameCreatesNothing)
+{
+    FrameWords words(4);
+    for (u64 i = 0; i < words.size(); i += 97)
+        words.set(i, 0);
+    EXPECT_EQ(words.framesPresent(), 0u);
+    words.set(5, 1);
+    EXPECT_EQ(words.framesPresent(), 1u);
+    EXPECT_EQ(words[5], 1ull);
+    EXPECT_EQ(words[4], 0ull);
+}
+
+TEST(FrameWordsTest, DifferentFrameCountsDiffer)
+{
+    EXPECT_NE(FrameWords(3), FrameWords(4));
+}
+
+TEST(FlatStateTest, DiffStatesNamesFirstDifferingWord)
+{
+    FlatState a, b;
+    // Frame 2 is absent in `a` and an explicit zero page in `b` up to
+    // the differing word, which must not count as a difference.
+    b.writeWord(b.frameAt(2), 9);
+    b.writeWord(b.frameAt(2), 0);
+    a.writeWord(a.frameAt(2) + 5 * sizeof(u64), 7);
+    b.writeWord(b.frameAt(3), 8);
+    EXPECT_EQ(diffStates(a, b), "word[1029]: 7 != 0; ");
+    EXPECT_EQ(diffStates(b, a), "word[1029]: 0 != 7; ");
+
+    a.writeWord(a.frameAt(2) + 5 * sizeof(u64), 0);
+    EXPECT_EQ(diffStates(a, b), "word[1536]: 0 != 8; ");
+    a.writeWord(a.frameAt(3), 8);
+    EXPECT_EQ(diffStates(a, b), "");
+    EXPECT_EQ(a, b);
 }
 
 TEST(FlatStateTest, EqualityIsStructural)

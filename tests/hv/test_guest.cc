@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "hv/guest.hh"
 #include "hv/monitor.hh"
 
@@ -101,6 +103,67 @@ TEST_F(GuestTest, GptDoubleMapRejected)
     EXPECT_EQ(os.gptMap(*root, 0x1000, *frame,
                         PteFlags::userRw()).error(),
               HvError::AlreadyMapped);
+}
+
+TEST_F(GuestTest, GptMapRangeStopsWhereThePerPageLoopStops)
+{
+    // A range that starts mid-leaf and meets a mapping already present
+    // in its second leaf table: gptMapRange must map the same prefix,
+    // allocate the same frames and fail the same way as gptMap per page.
+    Monitor twin_mon(smallConfig());
+    PrimaryOs twin(twin_mon);
+    const u64 base = 0x7000'0000 + 300 * pageSize;
+    const u64 pages = 1000;
+    const u64 clash = base + 700 * pageSize;
+    const Gpa target(0x40'0000);
+
+    auto root = os.createPageTable();
+    auto twin_root = twin.createPageTable();
+    ASSERT_TRUE(root.ok() && twin_root.ok());
+    ASSERT_TRUE(os.gptMap(*root, clash, target, PteFlags::userRw()).ok());
+    ASSERT_TRUE(
+        twin.gptMap(*twin_root, clash, target, PteFlags::userRw()).ok());
+
+    EXPECT_EQ(os.gptMapRange(*root, base, target, pages,
+                             PteFlags::userRw()).error(),
+              HvError::AlreadyMapped);
+    u64 mapped = 0;
+    Status last = okStatus();
+    for (; mapped < pages; ++mapped) {
+        last = twin.gptMap(*twin_root, base + mapped * pageSize,
+                           target + mapped * pageSize, PteFlags::userRw());
+        if (!last)
+            break;
+    }
+    EXPECT_EQ(mapped, 700u);
+    EXPECT_EQ(last.error(), HvError::AlreadyMapped);
+
+    for (u64 page = 0; page < smallConfig().layout.totalBytes;
+         page += pageSize)
+        ASSERT_EQ(std::memcmp(mon.mem().pageWords(Hpa(page)),
+                              twin_mon.mem().pageWords(Hpa(page)),
+                              pageSize),
+                  0)
+            << "page " << std::hex << page;
+    auto next = os.allocPage();
+    auto twin_next = twin.allocPage();
+    ASSERT_TRUE(next.ok() && twin_next.ok());
+    EXPECT_EQ(next->value, twin_next->value);
+}
+
+TEST_F(GuestTest, GptMapRangeChecksAlignment)
+{
+    auto root = os.createPageTable();
+    ASSERT_TRUE(root.ok());
+    EXPECT_EQ(os.gptMapRange(*root, 0x1008, Gpa(0x2000), 2,
+                             PteFlags::userRw()).error(),
+              HvError::NotAligned);
+    EXPECT_EQ(os.gptMapRange(*root, 0x1000, Gpa(0x2008), 2,
+                             PteFlags::userRw()).error(),
+              HvError::NotAligned);
+    EXPECT_TRUE(
+        os.gptMapRange(*root, 0x1000, Gpa(0x2000), 0, PteFlags::userRw())
+            .ok());
 }
 
 TEST_F(GuestTest, GptUnmapRemovesMapping)

@@ -111,6 +111,48 @@ TEST(HvInvariantTest, HoldsUnderHypercallFuzz)
     }
 }
 
+/** True iff some violation contains `needle`. */
+bool
+reported(const std::vector<std::string> &violations, const char *needle)
+{
+    for (const std::string &violation : violations)
+        if (violation.find(needle) != std::string::npos)
+            return true;
+    return false;
+}
+
+TEST(HvInvariantTest, DetectsNormalEptLeafIntoSecureRegion)
+{
+    // Give the OS's EPT a leaf onto the monitor's first PT frame, at a
+    // gpa far above normal memory, with tables from the monitor's pool.
+    Monitor mon(smallConfig());
+    PageTable ept(mon.mem(), &mon.ptAlloc(), mon.normalEptRoot());
+    const u64 gpa = 1ull << 38;
+    ASSERT_TRUE(ept.map(gpa, mon.config().layout.secureBase(),
+                        PteFlags::userRw()).ok());
+
+    const auto violations = checkMonitorInvariants(mon);
+    EXPECT_TRUE(reported(violations, "normal EPT maps gpa 4000000000 "
+                                     "into the secure region"))
+        << describeMonitorViolations(violations);
+}
+
+TEST(HvInvariantTest, DetectsNormalEptTableLinkOutsideFrameArea)
+{
+    // A raw root entry linking to a "table" in normal memory.
+    Monitor mon(smallConfig());
+    const Hpa root = mon.normalEptRoot();
+    const u64 index = entriesPerTable - 1;
+    ASSERT_FALSE(Pte(mon.mem().read(root + index * sizeof(u64))).present());
+    mon.mem().write(root + index * sizeof(u64),
+                    Pte::make(0x5000, PteFlags::tableLink()).raw());
+
+    const auto violations = checkMonitorInvariants(mon);
+    EXPECT_TRUE(reported(violations, "normal EPT has table frames outside "
+                                     "the frame area"))
+        << describeMonitorViolations(violations);
+}
+
 TEST(HvInvariantTest, DetectsHandCorruptedEptTarget)
 {
     Machine machine(smallConfig());

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "hv/machine.hh"
 
 namespace hev::hv
@@ -31,6 +33,34 @@ TEST(MachineTest, KernelIdentityMappingWorks)
     ASSERT_TRUE(load.ok());
     EXPECT_EQ(*load, 0x77ull);
     EXPECT_EQ(machine.monitor().mem().read(Hpa(0x9'0000)), 0x77ull);
+}
+
+TEST(MachineTest, KernelGptMatchesThePerPageMapLoop)
+{
+    // The constructor's one gptMapRange call must leave memory exactly
+    // as one gptMap per normal page does, allocation order included.
+    const MonitorConfig cfg = smallConfig();
+    Machine machine(cfg);
+    Monitor mon(cfg);
+    PrimaryOs os(mon);
+    auto root = os.createPageTable();
+    ASSERT_TRUE(root.ok());
+    EXPECT_EQ(root->value, machine.kernelGptRoot().value);
+    const u64 normal_bytes = cfg.layout.normalRange().size();
+    for (u64 addr = 0; addr < normal_bytes; addr += pageSize)
+        ASSERT_TRUE(
+            os.gptMap(*root, addr, Gpa(addr), PteFlags::userRw()).ok());
+
+    for (u64 page = 0; page < cfg.layout.totalBytes; page += pageSize)
+        ASSERT_EQ(std::memcmp(machine.monitor().mem().pageWords(Hpa(page)),
+                              mon.mem().pageWords(Hpa(page)), pageSize),
+                  0)
+            << "page " << std::hex << page;
+    EXPECT_EQ(machine.os().usedPages(), os.usedPages());
+    auto next = machine.os().allocPage();
+    auto twin_next = os.allocPage();
+    ASSERT_TRUE(next.ok() && twin_next.ok());
+    EXPECT_EQ(next->value, twin_next->value);
 }
 
 TEST(MachineTest, KernelCannotTouchSecureMemory)

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <type_traits>
+
 #include "hv/phys_mem.hh"
 
 namespace hev::hv
@@ -132,6 +135,37 @@ TEST(PhysMemTest, CopyPageCopiesAllWords)
     mem.copyPage(Hpa(0x7000), Hpa(0x5000));
     for (u64 off = 0; off < pageSize; off += 8)
         ASSERT_EQ(mem.read(Hpa(0x7000 + off)), off * 3 + 1);
+}
+
+TEST(PhysMemTest, FreshMemoryReadsZeroAfterAnEarlierOneIsGone)
+{
+    const MemLayout layout = smallLayout();
+    constexpr u64 wordsPerPage = pageSize / sizeof(u64);
+    {
+        PhysMem used(layout);
+        for (u64 page = 0; page < layout.totalBytes; page += pageSize)
+            std::fill_n(used.pageWordsMut(Hpa(page)), wordsPerPage,
+                        ~page);
+    }
+    const PhysMem fresh(layout);
+    for (u64 page = 0; page < layout.totalBytes; page += pageSize) {
+        const u64 *words = fresh.pageWords(Hpa(page));
+        ASSERT_TRUE(std::all_of(words, words + wordsPerPage,
+                                [](u64 word) { return word == 0; }))
+            << "page " << std::hex << page;
+    }
+}
+
+TEST(PhysMemTest, MoveCarriesTheContents)
+{
+    static_assert(!std::is_copy_constructible_v<PhysMem>);
+    static_assert(std::is_nothrow_move_constructible_v<PhysMem>);
+    PhysMem from(smallLayout());
+    from.write(Hpa(0x1008), 42);
+    const u64 *page = from.pageWords(Hpa(0x1000));
+    PhysMem to(std::move(from));
+    EXPECT_EQ(to.read(Hpa(0x1008)), 42ull);
+    EXPECT_EQ(to.pageWords(Hpa(0x1000)), page);
 }
 
 } // namespace

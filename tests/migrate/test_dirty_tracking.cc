@@ -110,9 +110,10 @@ TEST(DirtyTracking, ClearReArmsPrimedWriters)
 
 TEST(DirtyTracking, SnapshotFlushLeavesTrackingArmed)
 {
-    // hcEnclaveSnapshot ends with a domain flush, so post-snapshot
-    // writes to a forked source walk — and land in the dirty set the
-    // next migration round reads.
+    // A snapshot needs a quiesced enclave, and the exit before it
+    // already flushed the domain, so post-snapshot writes to a forked
+    // source walk — and land in the dirty set the next migration round
+    // reads.
     Machine machine(smallConfig());
     auto enclave = machine.setupEnclave(elStart, 2, 1, 0xd11b);
     ASSERT_TRUE(enclave);
