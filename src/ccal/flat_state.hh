@@ -21,6 +21,7 @@
 
 #include "ccal/geometry.hh"
 #include "mirlight/abstract_state.hh"
+#include "support/table_walk.hh"
 #include "support/types.hh"
 
 namespace hev::mir
@@ -57,6 +58,14 @@ class FrameWords
     {
         const Page *page = frames[index / entriesPerTable].get();
         return page ? (*page)[index % entriesPerTable] : 0;
+    }
+
+    /** Words of frame `index`, or nullptr if absent (reads as zero). */
+    const u64 *
+    frame(u64 index) const
+    {
+        const Page *page = frames[index].get();
+        return page ? page->data() : nullptr;
     }
 
     /** Store word `index`; index must be < size(). */
@@ -237,6 +246,23 @@ struct FlatState
     {
         auto it = asRoots.find(handle);
         return it == asRoots.end() ? 0 : it->second;
+    }
+};
+
+/**
+ * Page source for walkTables() over a FlatState's frame area: a table
+ * outside it is escaped, an absent frame reads as all zero.
+ */
+struct FlatTablePages
+{
+    const FlatState &s;
+
+    TablePage
+    operator()(u64 table) const
+    {
+        if (!s.geo.inFrameArea(table))
+            return {true};
+        return {false, s.words.frame((table - s.geo.frameBase) / pageSize)};
     }
 };
 

@@ -13,6 +13,7 @@
 #ifndef HEV_CCAL_GEOMETRY_HH
 #define HEV_CCAL_GEOMETRY_HH
 
+#include "support/table_walk.hh"
 #include "support/types.hh"
 
 namespace hev::ccal
@@ -67,13 +68,13 @@ struct Geometry
 /// @{
 
 /** Physical-address field of an entry: bits [51:12]. */
-constexpr u64 pteAddrMask = 0x000f'ffff'ffff'f000ull;
-constexpr u64 pteFlagP = 1ull << 0;
+constexpr u64 pteAddrMask = tableEntryAddrMask;
+constexpr u64 pteFlagP = tableEntryPresent;
 constexpr u64 pteFlagW = 1ull << 1;
 constexpr u64 pteFlagU = 1ull << 2;
 constexpr u64 pteFlagAccessed = 1ull << 5;
 constexpr u64 pteFlagDirty = 1ull << 6;
-constexpr u64 pteFlagHuge = 1ull << 7;
+constexpr u64 pteFlagHuge = tableEntryHuge;
 /** Flags of an intermediate table link. */
 constexpr u64 pteLinkFlags = pteFlagP | pteFlagW | pteFlagU;
 /** Flags of a normal read-write user mapping. */

@@ -48,61 +48,77 @@ cloneTable(const TreeTable &table)
     return copy;
 }
 
-std::shared_ptr<TreeTable>
-liftTable(const FlatState &s, u64 table_addr, i64 level)
+/** Lift and R read the flat tables through the frame area only. */
+struct InAreaVisitor : TableVisitor
 {
-    auto table = std::make_shared<TreeTable>();
-    for (u64 index = 0; index < entriesPerTable; ++index) {
-        const u64 raw = s.readEntry(table_addr, index);
-        if (!spec::specPtePresent(raw))
-            continue;
-        if (level == 1 || spec::specPteHuge(raw)) {
-            table->entries.emplace(
-                index, TreePte::makeTerminal(spec::specPteAddr(raw),
-                                             spec::specPteFlags(raw)));
-        } else {
-            table->entries.emplace(
-                index,
-                TreePte::makeIntermediate(
-                    spec::specPteFlags(raw),
-                    liftTable(s, spec::specPteAddr(raw), level - 1)));
-        }
+    [[noreturn]] void
+    escape(u64 table, int)
+    {
+        panic("flat state read of invalid word %#llx",
+              (unsigned long long)table);
     }
-    return table;
-}
+};
 
-/** R_pte applied across a whole table. */
-bool
-tableRelates(const TreeTable &tree, const FlatState &s, u64 table_addr,
-             i64 level)
+/** Builds the tree view of a flat table in walk order. */
+struct Lift : InAreaVisitor
 {
-    for (u64 index = 0; index < entriesPerTable; ++index) {
-        const u64 raw = s.readEntry(table_addr, index);
-        auto it = tree.entries.find(index);
-        if (!spec::specPtePresent(raw)) {
-            if (it != tree.entries.end())
-                return false; // tree has an entry the flat view lacks
-            continue;
+    TreeTable *tables[pagingLevels + 1] = {}; //!< current, per level
+
+    void
+    entry(u64 va, u64 raw, int level, bool leaf)
+    {
+        const u64 index = spec::specVaIndex(va, level);
+        const u64 flags = spec::specPteFlags(raw);
+        if (leaf) {
+            tables[level]->entries.emplace(
+                index, TreePte::makeTerminal(spec::specPteAddr(raw), flags));
+            return;
         }
-        if (it == tree.entries.end())
-            return false; // flat has an entry the tree lacks
-        const TreePte &pte = it->second;
-        if (pte.flags != spec::specPteFlags(raw))
-            return false;
-        const bool flat_terminal =
-            level == 1 || spec::specPteHuge(raw);
-        if (flat_terminal != pte.terminal())
-            return false;
-        if (flat_terminal) {
-            if (pte.addr != spec::specPteAddr(raw))
-                return false;
-        } else if (!tableRelates(*pte.child, s, spec::specPteAddr(raw),
-                                 level - 1)) {
-            return false;
-        }
+        auto child = std::make_shared<TreeTable>();
+        tables[level - 1] = child.get(); // the walk descends into it next
+        tables[level]->entries.emplace(
+            index, TreePte::makeIntermediate(flags, std::move(child)));
     }
-    return true;
-}
+};
+
+/**
+ * R_pte along the walk: each present flat entry meets the tree table's
+ * next unmet entry, at the same index, with the same flags,
+ * terminal-ness and address (or a child that relates in turn); a table
+ * left with unmet tree entries has entries the flat one lacks.  The
+ * first mismatch stops the walk.
+ */
+struct Relate : InAreaVisitor
+{
+    const TreeTable *tables[pagingLevels + 1] = {}; //!< current, per level
+    std::map<u64, TreePte>::const_iterator unmet[pagingLevels + 1];
+
+    void
+    reach(u64, int level)
+    {
+        unmet[level] = tables[level]->entries.begin();
+    }
+
+    bool
+    entry(u64 va, u64 raw, int level, bool leaf)
+    {
+        auto &it = unmet[level];
+        if (it == tables[level]->entries.end() ||
+            it->first != spec::specVaIndex(va, level))
+            return false;
+        const TreePte &pte = (it++)->second;
+        if (pte.flags != spec::specPteFlags(raw) || pte.terminal() != leaf)
+            return false;
+        tables[level - 1] = pte.child.get(); // for the descent, if any
+        return !leaf || pte.addr == spec::specPteAddr(raw);
+    }
+
+    bool
+    leave(u64, int level)
+    {
+        return unmet[level] == tables[level]->entries.end();
+    }
+};
 
 bool
 tablesEqual(const TreeTable &a, const TreeTable &b)
@@ -140,14 +156,18 @@ TreeState
 treeFromFlat(const FlatState &s, u64 root)
 {
     TreeState tree;
-    tree.root = liftTable(s, root, pagingLevels);
+    Lift lift;
+    lift.tables[pagingLevels] = tree.root.get();
+    walkTables(FlatTablePages{s}, root, pagingLevels, lift);
     return tree;
 }
 
 bool
 refinesFlat(const TreeState &t, const FlatState &s, u64 root)
 {
-    return tableRelates(*t.root, s, root, pagingLevels);
+    Relate relate;
+    relate.tables[pagingLevels] = t.root.get();
+    return walkTables(FlatTablePages{s}, root, pagingLevels, relate);
 }
 
 QueryResult

@@ -79,11 +79,10 @@ struct ExecOptions
 std::vector<std::string> plantedBugNames();
 
 /**
- * Enable one planted bug by name ("elrange-off-by-one",
- * "epcm-owner-skip", "stale-tlb", "wrong-perm-mask",
- * "frame-double-free", "tree-skew", "skip-shootdown-ack"); false if
- * the name is unknown.  "skip-shootdown-ack" also turns on smpFuzz
- * (the bug lives in the SMP shootdown protocol).
+ * Enable one planted bug by name, one of plantedBugNames(); false if
+ * the name is unknown.  "skip-shootdown-ack" and
+ * "batch-skip-middle-invalidate" also turn on smpFuzz (both bugs only
+ * show through a sibling vCPU's TLB).
  */
 bool applyPlantedBug(ExecOptions &opts, const std::string &name);
 

@@ -10,42 +10,40 @@ namespace
 {
 
 /**
- * Containment-checked recursive walk: visit terminal mappings, refuse
- * to follow intermediate entries that leave the monitor's frame area.
- * A table inside the area is a whole valid page, so its entries are
- * read straight from the raw page.
+ * Visit terminal mappings inside the monitor's PT area; a link out of
+ * the area is not followed, and the walk goes on past it.
  *
  * @return false iff the walk hit an escaped table frame.
  */
+template <typename Leaf>
 bool
-walkContained(const Monitor &mon, Hpa table, int level, u64 va_prefix,
-              const std::function<void(u64, Pte, int)> &visit)
+walkContained(const Monitor &mon, Hpa root, Leaf &&leaf)
 {
-    if (!mon.ptAlloc().inArea(table))
-        return false;
-    const u64 *entries = mon.mem().pageWords(table);
-    bool contained = true;
-    for (u64 index = 0; index < entriesPerTable; ++index) {
-        const Pte entry(entries[index]);
-        if (!entry.present())
-            continue;
-        const u64 va =
-            va_prefix | (index << (pageShift + 9 * (level - 1)));
-        if (level == 1 || entry.huge()) {
-            visit(va, entry, level);
-        } else {
-            contained = walkContained(mon, Hpa(entry.addr()), level - 1,
-                                      va, visit) &&
-                        contained;
+    struct : TableVisitor
+    {
+        Leaf &leaf;
+        bool contained = true;
+        void
+        entry(u64 va, u64 raw, int level, bool is_leaf)
+        {
+            if (is_leaf)
+                leaf(va, Pte(raw), level);
         }
-    }
-    return contained;
+        void escape(u64, int) { contained = false; }
+    } visitor{{}, leaf};
+    walkTables(PhysTablePages{mon.mem(), &mon.ptAlloc()}, root.value,
+               pagingLevels, visitor);
+    return visitor.contained;
 }
 
+/** Append one violation, streamed together from `parts`. */
+template <typename... Parts>
 void
-report(std::vector<std::string> &violations, const std::string &what)
+report(std::vector<std::string> &violations, Parts &&...parts)
 {
-    violations.push_back(what);
+    std::ostringstream msg;
+    (msg << ... << parts);
+    violations.push_back(msg.str());
 }
 
 /**
@@ -53,22 +51,18 @@ report(std::vector<std::string> &violations, const std::string &what)
  * all intermediate tables).  Out-of-area frames are not followed —
  * escapes are walkContained's family to report.
  */
+template <typename Visit>
 void
-forEachTableFrame(const Monitor &mon, Hpa table, int level,
-                  const std::function<void(Hpa)> &visit)
+forEachTableFrame(const Monitor &mon, Hpa root, Visit &&visit)
 {
-    if (!mon.ptAlloc().inArea(table))
-        return;
-    visit(table);
-    if (level == 1)
-        return;
-    const u64 *entries = mon.mem().pageWords(table);
-    for (u64 index = 0; index < entriesPerTable; ++index) {
-        const Pte entry(entries[index]);
-        if (!entry.present() || entry.huge())
-            continue;
-        forEachTableFrame(mon, Hpa(entry.addr()), level - 1, visit);
-    }
+    struct : TableVisitor
+    {
+        static constexpr bool readsLeafTables() { return false; }
+        Visit &visit;
+        void reach(u64 table, int) { visit(Hpa(table)); }
+    } frames{{}, visit};
+    walkTables(PhysTablePages{mon.mem(), &mon.ptAlloc()}, root.value,
+               pagingLevels, frames);
 }
 
 } // namespace
@@ -84,17 +78,14 @@ checkMonitorInvariants(const Monitor &mon)
     // secure region entirely.
     {
         const bool contained = walkContained(
-            mon, mon.normalEptRoot(), pagingLevels, 0,
+            mon, mon.normalEptRoot(),
             [&](u64 gpa, Pte entry, int level) {
                 const u64 span = 1ull << (pageShift + 9 * (level - 1));
                 const HpaRange target{Hpa(entry.addr()),
                                       Hpa(entry.addr() + span)};
-                if (target.overlaps(layout.secureRange())) {
-                    std::ostringstream msg;
-                    msg << "normal EPT maps gpa " << std::hex << gpa
-                        << " into the secure region";
-                    report(violations, msg.str());
-                }
+                if (target.overlaps(layout.secureRange()))
+                    report(violations, "normal EPT maps gpa ", std::hex,
+                           gpa, " into the secure region");
             });
         if (!contained)
             report(violations,
@@ -108,165 +99,100 @@ checkMonitorInvariants(const Monitor &mon)
         const PageTable ept(mem, nullptr, enclave.eptRoot);
         const GvaRange mbuf_range = enclave.mbufGvaRange();
         const HpaRange mbuf_backing = enclave.mbufHpaRange();
+        const auto blame = [&](auto &&...parts) {
+            report(violations, "enclave ", enclave.id, parts...);
+        };
 
-        if (mbuf_range.overlaps(enclave.cfg.elrange)) {
-            std::ostringstream msg;
-            msg << "enclave " << enclave.id
-                << ": ELRANGE overlaps its marshalling buffer range";
-            report(violations, msg.str());
-        }
+        if (mbuf_range.overlaps(enclave.cfg.elrange))
+            blame(": ELRANGE overlaps its marshalling buffer range");
 
         // EPT shape: no huge pages, targets restricted.
         const bool ept_contained = walkContained(
-            mon, enclave.eptRoot, pagingLevels, 0,
-            [&](u64 gpa, Pte entry, int level) {
-                if (level != 1 || entry.huge()) {
-                    std::ostringstream msg;
-                    msg << "enclave " << enclave.id
-                        << ": huge EPT mapping at gpa " << std::hex
-                        << gpa;
-                    report(violations, msg.str());
-                }
+            mon, enclave.eptRoot, [&](u64 gpa, Pte entry, int level) {
+                if (level != 1 || entry.huge())
+                    blame(": huge EPT mapping at gpa ", std::hex, gpa);
             });
-        if (!ept_contained) {
-            std::ostringstream msg;
-            msg << "enclave " << enclave.id
-                << ": EPT table frames escape the frame area";
-            report(violations, msg.str());
-        }
+        if (!ept_contained)
+            blame(": EPT table frames escape the frame area");
 
         // GPT shape + composed translation facts.
         const bool gpt_contained = walkContained(
-            mon, enclave.gptRoot, pagingLevels, 0,
-            [&](u64 gva, Pte entry, int level) {
-                if (level != 1 || entry.huge()) {
-                    std::ostringstream msg;
-                    msg << "enclave " << enclave.id
-                        << ": huge GPT mapping at gva " << std::hex
-                        << gva;
-                    report(violations, msg.str());
-                }
+            mon, enclave.gptRoot, [&](u64 gva, Pte entry, int level) {
+                if (level != 1 || entry.huge())
+                    blame(": huge GPT mapping at gva ", std::hex, gva);
                 const bool in_elrange =
                     enclave.cfg.elrange.contains(Gva(gva));
                 const bool in_mbuf =
                     mbuf_range.contains(Gva(gva));
                 if (!in_elrange && !in_mbuf) {
-                    std::ostringstream msg;
-                    msg << "enclave " << enclave.id << ": gva "
-                        << std::hex << gva
-                        << " mapped outside ELRANGE and mbuf";
-                    report(violations, msg.str());
+                    blame(": gva ", std::hex, gva,
+                          " mapped outside ELRANGE and mbuf");
                     return;
                 }
 
                 auto stage2 = ept.query(entry.addr());
                 if (!stage2) {
-                    std::ostringstream msg;
-                    msg << "enclave " << enclave.id << ": gva "
-                        << std::hex << gva
-                        << " has no second-stage mapping";
-                    report(violations, msg.str());
+                    blame(": gva ", std::hex, gva,
+                          " has no second-stage mapping");
                     return;
                 }
                 const Hpa hpa(stage2->physAddr);
                 const bool to_epc = layout.epcRange().contains(hpa);
 
-                if (in_elrange != to_epc) {
-                    std::ostringstream msg;
-                    msg << "enclave " << enclave.id << ": gva "
-                        << std::hex << gva
-                        << (in_elrange
-                                ? " is ELRANGE but not EPC-backed"
-                                : " is EPC-backed outside ELRANGE");
-                    report(violations, msg.str());
-                }
+                if (in_elrange != to_epc)
+                    blame(": gva ", std::hex, gva,
+                          in_elrange ? " is ELRANGE but not EPC-backed"
+                                     : " is EPC-backed outside ELRANGE");
                 if (to_epc) {
                     // EPCM soundness + cross-enclave disjointness.
                     const EpcmEntry &record = mon.epcm().entryFor(hpa);
                     if (record.state == EpcPageState::Free ||
                         record.owner != enclave.id ||
-                        record.linAddr != Gva(gva)) {
-                        std::ostringstream msg;
-                        msg << "enclave " << enclave.id
-                            << ": covert EPC mapping at gva "
-                            << std::hex << gva;
-                        report(violations, msg.str());
-                    }
+                        record.linAddr != Gva(gva))
+                        blame(": covert EPC mapping at gva ", std::hex, gva);
                     auto [it, fresh] = epc_claims.emplace(
                         hpa.pageBase().value, enclave.id);
-                    if (!fresh && it->second != enclave.id) {
-                        std::ostringstream msg;
-                        msg << "enclaves " << it->second << " and "
-                            << enclave.id << " share EPC page "
-                            << std::hex << hpa.pageBase().value;
-                        report(violations, msg.str());
-                    }
+                    if (!fresh && it->second != enclave.id)
+                        report(violations, "enclaves ", it->second, " and ",
+                               enclave.id, " share EPC page ", std::hex,
+                               hpa.pageBase().value);
                 } else if (layout.secureRange().contains(hpa)) {
-                    std::ostringstream msg;
-                    msg << "enclave " << enclave.id << ": gva "
-                        << std::hex << gva
-                        << " maps monitor-private memory";
-                    report(violations, msg.str());
-                } else {
+                    blame(": gva ", std::hex, gva,
+                          " maps monitor-private memory");
+                } else if (!mbuf_backing.contains(hpa) || !in_mbuf) {
                     // Normal memory: only the own marshalling buffer.
-                    const bool backing_ok =
-                        mbuf_backing.contains(hpa) && in_mbuf;
-                    if (!backing_ok) {
-                        std::ostringstream msg;
-                        msg << "enclave " << enclave.id << ": gva "
-                            << std::hex << gva
-                            << " shares normal memory outside its "
-                               "marshalling buffer";
-                        report(violations, msg.str());
-                    }
+                    blame(": gva ", std::hex, gva,
+                          " shares normal memory outside its "
+                          "marshalling buffer");
                 }
             });
-        if (!gpt_contained) {
-            std::ostringstream msg;
-            msg << "enclave " << enclave.id
-                << ": GPT table frames escape the frame area "
-                   "(shallow-copy-style state)";
-            report(violations, msg.str());
-        }
+        if (!gpt_contained)
+            blame(": GPT table frames escape the frame area "
+                  "(shallow-copy-style state)");
 
         // Sealed pages (EPCM invariant family extended to non-resident
         // pages): an evicted record must name an ELRANGE page that is
         // genuinely non-resident — no stage-1 mapping and no EPCM entry
         // — and carry a version the counter has actually issued.
         for (const auto &[gva, version] : enclave.evictedPages) {
-            if (!enclave.cfg.elrange.contains(Gva(gva))) {
-                std::ostringstream msg;
-                msg << "enclave " << enclave.id << ": evicted gva "
-                    << std::hex << gva << " outside ELRANGE";
-                report(violations, msg.str());
-            }
-            if (gpt.query(gva)) {
-                std::ostringstream msg;
-                msg << "enclave " << enclave.id << ": evicted gva "
-                    << std::hex << gva << " is still GPT-mapped";
-                report(violations, msg.str());
-            }
-            if (version == 0 || version >= enclave.nextSealVersion) {
-                std::ostringstream msg;
-                msg << "enclave " << enclave.id << ": evicted gva "
-                    << std::hex << gva << " has version " << std::dec
-                    << version << " outside [1, "
-                    << enclave.nextSealVersion << ")";
-                report(violations, msg.str());
-            }
+            if (!enclave.cfg.elrange.contains(Gva(gva)))
+                blame(": evicted gva ", std::hex, gva, " outside ELRANGE");
+            if (gpt.query(gva))
+                blame(": evicted gva ", std::hex, gva,
+                      " is still GPT-mapped");
+            if (version == 0 || version >= enclave.nextSealVersion)
+                blame(": evicted gva ", std::hex, gva, " has version ",
+                      std::dec, version, " outside [1, ",
+                      enclave.nextSealVersion, ")");
             const HpaRange epc = layout.epcRange();
             for (u64 page = epc.start.value; page < epc.end.value;
                  page += pageSize) {
                 const EpcmEntry &record = mon.epcm().entryFor(Hpa(page));
                 if (record.state != EpcPageState::Free &&
                     record.owner == enclave.id &&
-                    record.linAddr == Gva(gva)) {
-                    std::ostringstream msg;
-                    msg << "enclave " << enclave.id << ": evicted gva "
-                        << std::hex << gva
-                        << " still has a live EPCM entry";
-                    report(violations, msg.str());
-                }
+                    record.linAddr == Gva(gva))
+                    blame(": evicted gva ", std::hex, gva,
+                          " still has a live EPCM entry");
             }
         }
     });
@@ -278,23 +204,17 @@ checkMonitorInvariants(const Monitor &mon)
     // manufactures).
     {
         const auto audit = [&](const std::string &what, Hpa root) {
-            forEachTableFrame(
-                mon, root, pagingLevels, [&](Hpa frame) {
-                    if (!mon.ptAlloc().allocated(frame)) {
-                        std::ostringstream msg;
-                        msg << what << ": table frame " << std::hex
-                            << frame.value
-                            << " is reachable but not allocated";
-                        report(violations, msg.str());
-                    }
-                });
+            forEachTableFrame(mon, root, [&](Hpa frame) {
+                if (!mon.ptAlloc().allocated(frame))
+                    report(violations, what, ": table frame ", std::hex,
+                           frame.value, " is reachable but not allocated");
+            });
         };
         audit("normal EPT", mon.normalEptRoot());
         mon.forEachEnclave([&](const Enclave &enclave) {
-            std::ostringstream who;
-            who << "enclave " << enclave.id;
-            audit(who.str() + " GPT", enclave.gptRoot);
-            audit(who.str() + " EPT", enclave.eptRoot);
+            const std::string who = "enclave " + std::to_string(enclave.id);
+            audit(who + " GPT", enclave.gptRoot);
+            audit(who + " EPT", enclave.eptRoot);
         });
     }
 

@@ -1,6 +1,5 @@
 #include "hv/monitor.hh"
 
-#include <algorithm>
 #include <cstring>
 
 #include "obs/timer.hh"
@@ -531,16 +530,8 @@ Monitor::measureAddedPage(PageRun &run, Enclave &enclave,
         // Planted bug: hand the leaf GPT table frame back to the
         // allocator while the tree still points at it.  The next table
         // allocation zeroes it in place under the live mapping.
-        Hpa table = enclave.gptRoot;
-        for (int level = pagingLevels; level >= 2; --level) {
-            const Pte entry =
-                run.gpt.entryAt(table, req.gva.tableIndex(level));
-            if (!entry.present() || entry.huge())
-                break;
-            table = Hpa(entry.addr());
-            if (level == 2)
-                frameAlloc.debugForceFree(table);
-        }
+        if (auto leaf = run.gpt.walkToTable(req.gva.value, 1, false))
+            frameAlloc.debugForceFree(*leaf);
     }
     ++enclave.addedPages;
 }
@@ -1134,13 +1125,11 @@ Monitor::enclaveResidentPages(EnclaveId id) const
     const PageTable gpt(const_cast<PhysMem &>(physMem), nullptr,
                         enclave->gptRoot);
     std::vector<Gva> resident;
-    gpt.forEachMapping([&](u64 va, Pte entry, int level) {
-        (void)entry;
+    // The walk visits mappings in ascending va order.
+    gpt.forEachMapping([&](u64 va, Pte, int level) {
         if (level == 1 && enclave->cfg.elrange.contains(Gva(va)))
             resident.push_back(Gva(va));
     });
-    std::sort(resident.begin(), resident.end(),
-              [](Gva a, Gva b) { return a.value < b.value; });
     return resident;
 }
 

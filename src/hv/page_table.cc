@@ -1,6 +1,7 @@
 #include "hv/page_table.hh"
 
-#include "hv/phys_mem.hh"
+#include <functional>
+
 #include "obs/stats.hh"
 #include "obs/trace.hh"
 #include "support/logging.hh"
@@ -76,10 +77,10 @@ PageTable::setEntryAt(Hpa table, u64 index, Pte entry)
 }
 
 Expected<Hpa>
-PageTable::walkToLeafTable(u64 va, bool alloc_missing)
+PageTable::walkToTable(u64 va, int stop_level, bool alloc_missing)
 {
     Hpa table = rootFrame;
-    for (int level = pagingLevels; level > 1; --level) {
+    for (int level = pagingLevels; level > stop_level; --level) {
         const u64 index = Gva(va).tableIndex(level);
         Pte entry = entryAt(table, index);
         if (entry.present() && entry.huge())
@@ -117,7 +118,7 @@ PageTable::map(u64 va, u64 pa, PteFlags flags, LeafCursor &cursor)
     flags.huge = false;
     const u64 span_base = va & ~(levelPageSize(2) - 1);
     if (cursor.vaBase != span_base) {
-        auto leaf = walkToLeafTable(va, true);
+        auto leaf = walkToTable(va, 1, true);
         if (!leaf)
             return leaf.error();
         cursor.vaBase = span_base;
@@ -142,28 +143,14 @@ PageTable::mapHuge(u64 va, u64 pa, PteFlags flags, int level)
     if (!flags.present)
         return HvError::InvalidParam;
 
-    Hpa table = rootFrame;
-    for (int walk_level = pagingLevels; walk_level > level; --walk_level) {
-        const u64 index = Gva(va).tableIndex(walk_level);
-        Pte entry = entryAt(table, index);
-        if (entry.present() && entry.huge())
-            return HvError::AlreadyMapped;
-        if (!entry.present()) {
-            if (!frameAlloc)
-                return HvError::Unsupported;
-            auto frame = frameAlloc->allocFrame();
-            if (!frame)
-                return frame.error();
-            entry = Pte::make(frame->value, PteFlags::tableLink());
-            setEntryAt(table, index, entry);
-        }
-        table = Hpa(entry.addr());
-    }
+    auto table = walkToTable(va, level, true);
+    if (!table)
+        return table.error();
     const u64 index = Gva(va).tableIndex(level);
-    if (entryAt(table, index).present())
+    if (entryAt(*table, index).present())
         return HvError::AlreadyMapped;
     flags.huge = true;
-    setEntryAt(table, index, Pte::make(pa, flags));
+    setEntryAt(*table, index, Pte::make(pa, flags));
     statMaps.inc();
     return okStatus();
 }
@@ -182,7 +169,7 @@ PageTable::unmap(u64 va, LeafCursor &cursor)
         return HvError::NotAligned;
     const u64 span_base = va & ~(levelPageSize(2) - 1);
     if (cursor.vaBase != span_base) {
-        auto leaf = walkToLeafTable(va, false);
+        auto leaf = walkToTable(va, 1, false);
         if (!leaf)
             return leaf.error();
         cursor.vaBase = span_base;
@@ -264,59 +251,6 @@ PageTable::translate(u64 va, bool is_write, bool is_user) const
 namespace
 {
 
-void
-visitTable(const PageTable &pt, Hpa table, int level, u64 va_prefix,
-           const std::function<void(u64, Pte, int)> &visit)
-{
-    for (u64 index = 0; index < entriesPerTable; ++index) {
-        const Pte entry = pt.entryAt(table, index);
-        if (!entry.present())
-            continue;
-        const u64 va = va_prefix | (index << (pageShift + 9 * (level - 1)));
-        if (level == 1 || entry.huge()) {
-            visit(va, entry, level);
-        } else {
-            visitTable(pt, Hpa(entry.addr()), level - 1, va, visit);
-        }
-    }
-}
-
-void
-freeTables(PageTable &pt, FrameSource &alloc, Hpa table, int level)
-{
-    if (level > 1) {
-        for (u64 index = 0; index < entriesPerTable; ++index) {
-            const Pte entry = pt.entryAt(table, index);
-            if (entry.present() && !entry.huge())
-                freeTables(pt, alloc, Hpa(entry.addr()), level - 1);
-        }
-    }
-    // Frames outside the allocator's area (e.g. acquired through the
-    // shallow-copy bug) are deliberately skipped; the invariant checker
-    // flags them elsewhere.
-    if (alloc.owns(table))
-        (void)alloc.freeFrame(table);
-}
-
-u64
-countTables(const PageTable &pt, Hpa table, int level)
-{
-    u64 count = 1;
-    if (level > 1) {
-        for (u64 index = 0; index < entriesPerTable; ++index) {
-            const Pte entry = pt.entryAt(table, index);
-            if (entry.present() && !entry.huge())
-                count += countTables(pt, Hpa(entry.addr()), level - 1);
-        }
-    }
-    return count;
-}
-
-} // namespace
-
-namespace
-{
-
 /**
  * Walk to the terminal entry covering va and rewrite it through
  * `edit`; shared by the A/D stamping and clearing paths.  Works at
@@ -361,26 +295,42 @@ PageTable::clearDirtyBit(u64 va)
         *this, va, [](Pte entry) { return entry.withDirtyCleared(); });
 }
 
-void
-PageTable::forEachMapping(
-    const std::function<void(u64, Pte, int)> &visit) const
-{
-    visitTable(*this, rootFrame, pagingLevels, 0, visit);
-}
-
 Status
 PageTable::destroy()
 {
     if (!frameAlloc)
         return HvError::Unsupported;
-    freeTables(*this, *frameAlloc, rootFrame, pagingLevels);
+    // Post-order, so a table goes after its subtree.  Frames outside
+    // the allocator's area (e.g. acquired through the shallow-copy
+    // bug) are deliberately skipped; the invariant checker flags them.
+    struct : TableVisitor
+    {
+        static constexpr bool readsLeafTables() { return false; }
+        FrameSource &alloc;
+        void
+        leave(u64 table, int)
+        {
+            if (alloc.owns(Hpa(table)))
+                (void)alloc.freeFrame(Hpa(table));
+        }
+    } tables{{}, *frameAlloc};
+    walkTables(PhysTablePages{physMem}, rootFrame.value, pagingLevels,
+               tables);
     return okStatus();
 }
 
 u64
 PageTable::tableFrameCount() const
 {
-    return countTables(*this, rootFrame, pagingLevels);
+    struct : TableVisitor
+    {
+        static constexpr bool readsLeafTables() { return false; }
+        u64 count = 0;
+        void reach(u64, int) { ++count; }
+    } tables;
+    walkTables(PhysTablePages{physMem}, rootFrame.value, pagingLevels,
+               tables);
+    return tables.count;
 }
 
 Status

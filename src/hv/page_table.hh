@@ -20,17 +20,15 @@
 #ifndef HEV_HV_PAGE_TABLE_HH
 #define HEV_HV_PAGE_TABLE_HH
 
-#include <functional>
-
 #include "hv/frame_alloc.hh"
+#include "hv/phys_mem.hh"
 #include "hv/pte.hh"
 #include "support/result.hh"
+#include "support/table_walk.hh"
 #include "support/types.hh"
 
 namespace hev::hv
 {
-
-class PhysMem;
 
 /** Result of a successful translation. */
 struct Translation
@@ -40,6 +38,27 @@ struct Translation
     int level = 1;          //!< level the walk terminated at (1 = 4K)
 
     bool operator==(const Translation &) const = default;
+};
+
+/**
+ * Page source for walkTables() over physical memory: a table past its
+ * end reads as all zero, as entryAt() reads it.  With an `area` (the
+ * monitor's PT area), a table outside the area is escaped.
+ */
+struct PhysTablePages
+{
+    const PhysMem &mem;
+    const FrameAllocator *area = nullptr;
+
+    TablePage
+    operator()(u64 table) const
+    {
+        if (area && !area->inArea(Hpa(table)))
+            return {true};
+        if (table + pageSize > mem.sizeBytes())
+            return {};
+        return {false, mem.pageWords(Hpa(table))};
+    }
 };
 
 /** A radix page-table tree rooted at one physical frame. */
@@ -122,9 +141,24 @@ class PageTable
     Expected<Translation> translate(u64 va, bool is_write,
                                     bool is_user) const;
 
-    /** Visit every terminal mapping: f(va, entry, level). */
-    void forEachMapping(
-        const std::function<void(u64, Pte, int)> &visit) const;
+    /** Visit every terminal mapping: visit(va, entry, level). */
+    template <typename Visit>
+    void
+    forEachMapping(Visit &&visit) const
+    {
+        struct : TableVisitor
+        {
+            Visit &visit;
+            void
+            entry(u64 va, u64 raw, int level, bool leaf)
+            {
+                if (leaf)
+                    visit(va, Pte(raw), level);
+            }
+        } mappings{{}, visit};
+        walkTables(PhysTablePages{physMem}, rootFrame.value, pagingLevels,
+                   mappings);
+    }
 
     /**
      * Stamp the accessed (and, for writes, dirty) bit on the terminal
@@ -151,6 +185,17 @@ class PageTable
     /** Number of table frames in the tree, including the root. */
     u64 tableFrameCount() const;
 
+    /**
+     * Walk down to the table at `stop_level` on va's path (1 = the
+     * leaf table).  A huge entry on the way answers AlreadyMapped; a
+     * missing one NotMapped, or Unsupported without an allocator.
+     *
+     * @param va address being walked.
+     * @param stop_level level of the table to return.
+     * @param alloc_missing allocate intermediate tables on a miss.
+     */
+    Expected<Hpa> walkToTable(u64 va, int stop_level, bool alloc_missing);
+
     /** Read the raw entry at (table, index). */
     Pte entryAt(Hpa table, u64 index) const;
 
@@ -167,15 +212,6 @@ class PageTable
     Status shallowCopyL4From(const PageTable &src, u64 va_start, u64 va_end);
 
   private:
-    /**
-     * Walk down to the level-1 table containing va's leaf entry.
-     *
-     * @param va address being walked.
-     * @param alloc_missing allocate intermediate tables on a miss.
-     * @param[out] out_table level-1 table frame.
-     */
-    Expected<Hpa> walkToLeafTable(u64 va, bool alloc_missing);
-
     PhysMem &physMem;
     FrameSource *frameAlloc;
     Hpa rootFrame;

@@ -16,6 +16,7 @@
 #include <string>
 
 #include "support/bitops.hh"
+#include "support/table_walk.hh"
 #include "support/types.hh"
 
 namespace hev::hv
@@ -73,15 +74,15 @@ class Pte
     constexpr u64
     addr() const
     {
-        return rawBits & bitMask(51, 12);
+        return rawBits & tableEntryAddrMask;
     }
 
-    bool present() const { return bit(rawBits, 0); }
+    bool present() const { return rawBits & tableEntryPresent; }
     bool writable() const { return bit(rawBits, 1); }
     bool user() const { return bit(rawBits, 2); }
     bool accessed() const { return bit(rawBits, 5); }
     bool dirty() const { return bit(rawBits, 6); }
-    bool huge() const { return bit(rawBits, 7); }
+    bool huge() const { return rawBits & tableEntryHuge; }
     bool noExec() const { return bit(rawBits, 63); }
 
     /** Decode the flag bits into a PteFlags value. */

@@ -15,26 +15,15 @@ using namespace ccal::spec;
 namespace
 {
 
-bool
-walkTable(const FlatState &s, u64 table, int level, u64 va_prefix,
-          const std::function<void(u64, u64, u64, int)> &visit)
+/** Append one violation of `family`, streamed from `parts`. */
+template <typename... Parts>
+void
+report(std::vector<Violation> &violations, const char *family,
+       Parts &&...parts)
 {
-    if (!s.geo.inFrameArea(table))
-        return false;
-    for (u64 index = 0; index < entriesPerTable; ++index) {
-        const u64 entry = s.readEntry(table, index);
-        if (!specPtePresent(entry))
-            continue;
-        const u64 va =
-            va_prefix | (index << (pageShift + 9 * (level - 1)));
-        if (level == 1 || specPteHuge(entry)) {
-            visit(va, specPteAddr(entry), specPteFlags(entry), level);
-        } else if (!walkTable(s, specPteAddr(entry), level - 1, va,
-                              visit)) {
-            return false;
-        }
-    }
-    return true;
+    std::ostringstream msg;
+    (msg << ... << parts);
+    violations.push_back({family, msg.str()});
 }
 
 /** A composed (GPT then EPT) terminal translation of one enclave. */
@@ -46,17 +35,12 @@ struct ComposedMapping
     u64 flags = 0; //!< stage-1 flags
 };
 
-/**
- * Collect each enclave's composed page mappings.
- *
- * @param[out] walk_ok false if any table walk escaped the frame area.
- */
+/** Collect each enclave's composed page mappings. */
 std::map<i64, std::vector<ComposedMapping>>
-collectEnclaveMappings(const FlatState &s, bool &walk_ok,
+collectEnclaveMappings(const FlatState &s,
                        std::vector<Violation> &violations)
 {
     std::map<i64, std::vector<ComposedMapping>> result;
-    walk_ok = true;
     for (const auto &[id, enclave] : s.enclaves) {
         if (enclave.state == enclStateDead)
             continue;
@@ -66,23 +50,16 @@ collectEnclaveMappings(const FlatState &s, bool &walk_ok,
         std::vector<ComposedMapping> mappings;
         const bool ok = forEachFlatMapping(
             s, gpt_root, [&](u64 va, u64 gpa, u64 flags, int) {
-                ComposedMapping m;
-                m.va = va;
-                m.gpa = gpa;
-                m.flags = flags;
                 const QueryResult stage2 =
                     specAsQuery(s, enclave.eptHandle, gpa);
-                m.hpa = stage2.isSome ? stage2.physAddr : ~0ull;
-                mappings.push_back(m);
+                mappings.push_back(
+                    {va, gpa, stage2.isSome ? stage2.physAddr : ~0ull,
+                     flags});
             });
-        if (!ok) {
-            walk_ok = false;
-            std::ostringstream msg;
-            msg << "enclave " << id
-                << " page-table walk escapes the frame area "
-                   "(shallow-copy-style state)";
-            violations.push_back({"page-table containment", msg.str()});
-        }
+        if (!ok)
+            report(violations, "page-table containment", "enclave ", id,
+                   " page-table walk escapes the frame area "
+                   "(shallow-copy-style state)");
         result[id] = std::move(mappings);
     }
     return result;
@@ -90,34 +67,26 @@ collectEnclaveMappings(const FlatState &s, bool &walk_ok,
 
 } // namespace
 
-bool
-forEachFlatMapping(const FlatState &s, u64 root,
-                   const std::function<void(u64, u64, u64, int)> &visit)
-{
-    return walkTable(s, root, pagingLevels, 0, visit);
-}
-
 std::vector<Violation>
 checkInvariants(const FlatState &s)
 {
     std::vector<Violation> violations;
 
-    bool walk_ok = true;
-    auto mappings = collectEnclaveMappings(s, walk_ok, violations);
+    auto mappings = collectEnclaveMappings(s, violations);
 
     // --- Enclave invariants: geometry and per-mapping facts.
     for (const auto &[id, enclave] : s.enclaves) {
         if (enclave.state == enclStateDead)
             continue;
+        const auto blame = [&](const char *family, auto &&...parts) {
+            report(violations, family, "enclave ", id, parts...);
+        };
         const u64 mbuf_end =
             enclave.mbufGva + enclave.mbufPages * pageSize;
         if (!(mbuf_end <= enclave.elStart ||
-              enclave.mbufGva >= enclave.elEnd)) {
-            std::ostringstream msg;
-            msg << "enclave " << id
-                << ": ELRANGE overlaps the marshalling buffer range";
-            violations.push_back({"enclave invariants", msg.str()});
-        }
+              enclave.mbufGva >= enclave.elEnd))
+            blame("enclave invariants",
+                  ": ELRANGE overlaps the marshalling buffer range");
 
         const u64 gpt_root = s.rootOf(enclave.gptHandle);
         const u64 ept_root = s.rootOf(enclave.eptHandle);
@@ -126,14 +95,9 @@ checkInvariants(const FlatState &s)
                 continue;
             (void)forEachFlatMapping(
                 s, root, [&](u64 va, u64, u64 flags, int level) {
-                    if (level != 1 || (flags & pteFlagHuge)) {
-                        std::ostringstream msg;
-                        msg << "enclave " << id
-                            << ": huge mapping at va " << std::hex
-                            << va;
-                        violations.push_back(
-                            {"enclave invariants", msg.str()});
-                    }
+                    if (level != 1 || (flags & pteFlagHuge))
+                        blame("enclave invariants", ": huge mapping at va ",
+                              std::hex, va);
                 });
         }
 
@@ -146,37 +110,25 @@ checkInvariants(const FlatState &s)
                 m.hpa != ~0ull && s.geo.inEpc(m.hpa);
 
             // va in ELRANGE <=> physical target in the EPC.
-            if (in_elrange && !to_epc) {
-                std::ostringstream msg;
-                msg << "enclave " << id << ": ELRANGE va " << std::hex
-                    << m.va << " does not map into the EPC";
-                violations.push_back({"enclave invariants", msg.str()});
-            }
-            if (!in_elrange && to_epc) {
-                std::ostringstream msg;
-                msg << "enclave " << id << ": non-ELRANGE va "
-                    << std::hex << m.va << " maps into the EPC";
-                violations.push_back({"enclave invariants", msg.str()});
-            }
-            if (!in_elrange && !in_mbuf) {
-                std::ostringstream msg;
-                msg << "enclave " << id << ": va " << std::hex << m.va
-                    << " mapped outside ELRANGE and mbuf ranges";
-                violations.push_back({"enclave invariants", msg.str()});
-            }
+            if (in_elrange && !to_epc)
+                blame("enclave invariants", ": ELRANGE va ", std::hex, m.va,
+                      " does not map into the EPC");
+            if (!in_elrange && to_epc)
+                blame("enclave invariants", ": non-ELRANGE va ", std::hex,
+                      m.va, " maps into the EPC");
+            if (!in_elrange && !in_mbuf)
+                blame("enclave invariants", ": va ", std::hex, m.va,
+                      " mapped outside ELRANGE and mbuf ranges");
 
             // --- EPCM invariant: EPC mappings are recorded.
             if (to_epc) {
                 const u64 index = (m.hpa - s.geo.epcBase) / pageSize;
                 const AbsEpcmEntry &entry = s.epcm[index];
                 if (entry.state == epcStateFree || entry.owner != id ||
-                    entry.linAddr != m.va) {
-                    std::ostringstream msg;
-                    msg << "enclave " << id << ": EPC page " << std::hex
-                        << m.hpa << " mapped at va " << m.va
-                        << " without a matching EPCM entry";
-                    violations.push_back({"EPCM invariant", msg.str()});
-                }
+                    entry.linAddr != m.va)
+                    blame("EPCM invariant", ": EPC page ", std::hex, m.hpa,
+                          " mapped at va ", m.va,
+                          " without a matching EPCM entry");
             }
 
             // --- Marshalling buffer invariant: physical memory
@@ -190,15 +142,11 @@ checkInvariants(const FlatState &s)
                 const bool backing_ok =
                     enclave.mbufBacking <= m.hpa &&
                     m.hpa + pageSize <= backing_end;
-                if (!in_mbuf || !backing_ok) {
-                    std::ostringstream msg;
-                    msg << "enclave " << id << ": va " << std::hex
-                        << m.va << " shares physical page " << m.hpa
-                        << " with the primary OS outside the "
-                           "marshalling buffer";
-                    violations.push_back(
-                        {"marshalling buffer invariant", msg.str()});
-                }
+                if (!in_mbuf || !backing_ok)
+                    blame("marshalling buffer invariant", ": va ", std::hex,
+                          m.va, " shares physical page ", m.hpa,
+                          " with the primary OS outside the "
+                          "marshalling buffer");
             }
         }
     }
@@ -212,11 +160,9 @@ checkInvariants(const FlatState &s)
         if (enclave.state == enclStateDead)
             continue;
         for (const auto &[gva, sealed] : enclave.evicted) {
-            const auto blame = [&](const std::string &what) {
-                std::ostringstream msg;
-                msg << "enclave " << id << ": evicted gva " << std::hex
-                    << gva << " " << what;
-                violations.push_back({"EPCM invariant", msg.str()});
+            const auto blame = [&](const char *what) {
+                report(violations, "EPCM invariant", "enclave ", id,
+                       ": evicted gva ", std::hex, gva, " ", what);
             };
             if (!(enclave.elStart <= gva &&
                   gva + pageSize <= enclave.elEnd))
@@ -249,13 +195,10 @@ checkInvariants(const FlatState &s)
             if (m.hpa == ~0ull || !s.geo.inEpc(m.hpa))
                 continue;
             auto [it, fresh] = epc_owner_by_mapping.emplace(m.hpa, id);
-            if (!fresh && it->second != id) {
-                std::ostringstream msg;
-                msg << "enclaves " << it->second << " and " << id
-                    << " both map EPC page " << std::hex << m.hpa;
-                violations.push_back(
-                    {"ELRANGE memory isolation", msg.str()});
-            }
+            if (!fresh && it->second != id)
+                report(violations, "ELRANGE memory isolation", "enclaves ",
+                       it->second, " and ", id, " both map EPC page ",
+                       std::hex, m.hpa);
         }
     }
 

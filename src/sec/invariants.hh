@@ -20,7 +20,6 @@
 #ifndef HEV_SEC_INVARIANTS_HH
 #define HEV_SEC_INVARIANTS_HH
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -45,11 +44,27 @@ struct Violation
  *
  * @return false if the walk encountered an intermediate entry pointing
  *         outside the monitor's frame area (a shallow-copy-style state
- *         that cannot be enumerated safely).
+ *         that cannot be enumerated safely).  The walk stops there:
+ *         no mapping after that entry is visited.
  */
-bool forEachFlatMapping(
-    const FlatState &s, u64 root,
-    const std::function<void(u64, u64, u64, int)> &visit);
+template <typename Visit>
+bool
+forEachFlatMapping(const FlatState &s, u64 root, Visit &&visit)
+{
+    struct : TableVisitor
+    {
+        Visit &visit;
+        void
+        entry(u64 va, u64 raw, int level, bool leaf)
+        {
+            if (leaf)
+                visit(va, ccal::spec::specPteAddr(raw),
+                      ccal::spec::specPteFlags(raw), level);
+        }
+        bool escape(u64, int) { return false; }
+    } mappings{{}, visit};
+    return walkTables(ccal::FlatTablePages{s}, root, pagingLevels, mappings);
+}
 
 /** Check every invariant family; empty result = all hold. */
 std::vector<Violation> checkInvariants(const FlatState &s);

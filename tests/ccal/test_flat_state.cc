@@ -28,6 +28,21 @@ TEST(FlatStateTest, FreshStateIsZeroed)
         ASSERT_EQ(e.state, epcStateFree);
 }
 
+TEST(FlatStateTest, FrameIsNullUntilWrittenNonzero)
+{
+    FlatState s;
+    EXPECT_EQ(s.words.frame(2), nullptr);
+    s.writeWord(s.frameAt(2) + 8, 0);
+    EXPECT_EQ(s.words.frame(2), nullptr);
+    s.writeWord(s.frameAt(2) + 8, 0x77);
+    const u64 *words = s.words.frame(2);
+    ASSERT_NE(words, nullptr);
+    EXPECT_EQ(words[0], 0u);
+    EXPECT_EQ(words[1], 0x77u);
+    s.zeroFrame(s.frameAt(2));
+    EXPECT_EQ(s.words.frame(2), nullptr);
+}
+
 TEST(FlatStateTest, WordAddressing)
 {
     FlatState s;

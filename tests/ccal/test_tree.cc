@@ -60,6 +60,61 @@ TEST(TreeTest, RelationDetectsExtraTreeEntry)
     EXPECT_FALSE(refinesFlat(tree, s, root));
 }
 
+TEST(TreeTest, RelationDetectsMissingTreeEntry)
+{
+    FlatState s;
+    const u64 root = makeRoot(s);
+    ASSERT_EQ(specPtMap(s, root, 0x1000, 0x5000, pteRwFlags), 0);
+    const TreeState tree = treeFromFlat(s, root);
+    ASSERT_TRUE(refinesFlat(tree, s, root));
+    // A second flat leaf in the same leaf table: the tree lacks it.
+    ASSERT_EQ(specPtMap(s, root, 0x2000, 0x6000, pteRwFlags), 0);
+    EXPECT_FALSE(refinesFlat(tree, s, root));
+}
+
+TEST(TreeTest, RelationDetectsTerminalVsLinkMismatch)
+{
+    FlatState s;
+    const u64 root = makeRoot(s);
+    ASSERT_EQ(specPtMap(s, root, 0x1000, 0x5000, pteRwFlags), 0);
+    // Links and the leaf carry the same flags (pteLinkFlags ==
+    // pteRwFlags), so only terminal-ness tells them apart.
+    static_assert(pteLinkFlags == pteRwFlags);
+
+    // The tree's L4 entry 0 is terminal where the flat one links.
+    TreeState terminal = treeFromFlat(s, root);
+    ASSERT_TRUE(refinesFlat(terminal, s, root));
+    terminal.root->entries.at(0) = TreePte::makeTerminal(0, pteLinkFlags);
+    EXPECT_FALSE(refinesFlat(terminal, s, root));
+
+    // The tree's leaf for 0x1000 links a table where the flat one is
+    // terminal.
+    TreeState linked = treeFromFlat(s, root);
+    TreeTable *table = linked.root.get();
+    for (int level = pagingLevels; level > 1; --level)
+        table = table->entries.at(0).child.get();
+    table->entries.at(1) = TreePte::makeIntermediate(
+        pteRwFlags, std::make_shared<TreeTable>());
+    EXPECT_FALSE(refinesFlat(linked, s, root));
+}
+
+TEST(TreeDeathTest, LinkOutOfTheFrameAreaPanics)
+{
+    // Lift and R read the flat tables through the frame area only.
+    FlatState s;
+    const u64 root = makeRoot(s);
+    specEntryWrite(s, root, 5, specPteMake(0x4000, pteLinkFlags));
+    EXPECT_DEATH((void)treeFromFlat(s, root),
+                 "flat state read of invalid word 0x4000");
+
+    TreeState tree;
+    tree.root->entries.emplace(
+        5, TreePte::makeIntermediate(pteLinkFlags,
+                                     std::make_shared<TreeTable>()));
+    EXPECT_DEATH((void)refinesFlat(tree, s, root),
+                 "flat state read of invalid word 0x4000");
+}
+
 TEST(TreeTest, QueryMatchesFlatQuery)
 {
     FlatState s;

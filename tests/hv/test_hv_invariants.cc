@@ -153,6 +153,30 @@ TEST(HvInvariantTest, DetectsNormalEptTableLinkOutsideFrameArea)
         << describeMonitorViolations(violations);
 }
 
+TEST(HvInvariantTest, EscapedEptLinkDoesNotHideSiblingSubtree)
+{
+    // Root slot 1 links out of the frame area; slot 2's subtree, walked
+    // after it, holds a leaf into the secure region.  The containment
+    // walk reports the escape and goes on, so both are reported.
+    Monitor mon(smallConfig());
+    const Hpa root = mon.normalEptRoot();
+    ASSERT_FALSE(Pte(mon.mem().read(root + 1 * sizeof(u64))).present());
+    ASSERT_FALSE(Pte(mon.mem().read(root + 2 * sizeof(u64))).present());
+    mon.mem().write(root + 1 * sizeof(u64),
+                    Pte::make(0x5000, PteFlags::tableLink()).raw());
+    PageTable ept(mon.mem(), &mon.ptAlloc(), root);
+    ASSERT_TRUE(ept.map(2ull << 39, mon.config().layout.secureBase(),
+                        PteFlags::userRw()).ok());
+
+    const auto violations = checkMonitorInvariants(mon);
+    EXPECT_TRUE(reported(violations, "normal EPT has table frames outside "
+                                     "the frame area"))
+        << describeMonitorViolations(violations);
+    EXPECT_TRUE(reported(violations, "normal EPT maps gpa 10000000000 "
+                                     "into the secure region"))
+        << describeMonitorViolations(violations);
+}
+
 TEST(HvInvariantTest, DetectsHandCorruptedEptTarget)
 {
     Machine machine(smallConfig());

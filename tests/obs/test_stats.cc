@@ -51,8 +51,9 @@ TEST(HistogramData, BucketEdges)
         const u64 low = HistogramData::bucketLow(bucket);
         EXPECT_EQ(HistogramData::bucketOf(low), bucket);
         const u64 high = HistogramData::bucketHigh(bucket);
-        if (high)
+        if (high) {
             EXPECT_EQ(HistogramData::bucketOf(high - 1), bucket);
+        }
     }
 }
 
@@ -191,8 +192,9 @@ TEST(Stats, SnapshotMinusAcrossThreadRetirement)
     const Snapshot diff = after.minus(mid);
     EXPECT_EQ(counterValue(diff, "test.stats.retire"), 0u);
     const auto it = diff.histograms.find("test.stats.retire_hist");
-    if (it != diff.histograms.end())
+    if (it != diff.histograms.end()) {
         EXPECT_EQ(it->second.count, 0u);
+    }
     const Snapshot span = after.minus(before);
     EXPECT_EQ(counterValue(span, "test.stats.retire"), 100u);
     const HistogramData &spanned =

@@ -174,6 +174,22 @@ TEST(InvariantTest, DetectsShallowCopyStyleEscape)
     EXPECT_TRUE(containment) << describeViolations(violations);
 }
 
+TEST(InvariantTest, FlatWalkStopsAtTheFirstEscape)
+{
+    // L4 slot 0 maps a page, slot 1 links out of the frame area, and
+    // slot 3 maps another page: the walk reports the escape and visits
+    // nothing after it.
+    FlatState s;
+    const u64 root = specFrameAlloc(s);
+    ASSERT_EQ(specPtMap(s, root, 0x1000, 0x5000, pteRwFlags), 0);
+    ASSERT_EQ(specPtMap(s, root, 3ull << 39, 0x7000, pteRwFlags), 0);
+    specEntryWrite(s, root, 1, specPteMake(0x4000, pteLinkFlags));
+    std::map<u64, u64> seen;
+    EXPECT_FALSE(forEachFlatMapping(
+        s, root, [&](u64 va, u64 pa, u64, int) { seen[va] = pa; }));
+    EXPECT_EQ(seen, (std::map<u64, u64>{{0x1000, 0x5000}}));
+}
+
 TEST(InvariantTest, ForEachFlatMappingEnumeratesExactly)
 {
     FlatState s;

@@ -5,10 +5,11 @@
 # dirty-tracking, the spec lockstep and quiesced-fold equivalence
 # suites, the migration campaign, the SMP migration storms, and the
 # image secrecy oracle — plus the paging, batch and hv suites (the
-# monitor's page steps, page tables and EPCM), then the migrate bench
-# once as a correctness pass (its 2x downtime gate and internal
-# FAILURE checks run under the sanitizers; the timing figures are
-# ignored).  Fails (non-zero) on any test failure, sanitizer report,
+# monitor's page steps, page tables and EPCM) and the walk suites (the
+# one table walker and the spec-side walks that read raw FrameWords
+# frames through it), then the migrate bench once as a correctness
+# pass (its 2x downtime gate and internal FAILURE checks run under the
+# sanitizers; the timing figures are ignored).  Fails (non-zero) on any test failure, sanitizer report,
 # or build error — the sanitizer builds use -fno-sanitize-recover, so
 # a UBSan finding aborts the run instead of printing a warning and
 # passing.  Intended as a CI job: ./tools/migrate_smoke.sh [build-dir]
@@ -29,8 +30,8 @@ cmake --build "${BUILD_DIR}" -j > /dev/null
 export ASAN_OPTIONS="halt_on_error=1:detect_leaks=1:abort_on_error=1"
 export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
 
-echo "== running migrate/paging/batch/hv-labeled tests under ASan+UBSan"
-ctest --test-dir "${BUILD_DIR}" -L 'migrate|paging|batch|hv' \
+echo "== running migrate/paging/batch/hv/walk-labeled tests under ASan+UBSan"
+ctest --test-dir "${BUILD_DIR}" -L 'migrate|paging|batch|hv|walk' \
     --output-on-failure -E '^bench_'
 
 echo "== running bench_migrate once under ASan+UBSan (gates only)"
