@@ -313,8 +313,7 @@ struct BatchEquivalence
  *  - fold succeeds  => batch succeeds and the states are equal;
  *  - fold fails at element k with error e => batch fails with exactly
  *    e and leaves the state equal to `pre` (all-or-nothing);
- *  - on success, refinement R holds of the enclave's lifted page
- *    tables, and the tree-level batch (treeApplyBatch of the implied
+ *  - on success, the tree-level batch (treeApplyBatch of the implied
  *    gpt mappings) lands on the lift of the flat batch result.
  */
 BatchEquivalence checkAddBatchFold(const FlatState &pre, i64 id,
@@ -370,9 +369,8 @@ IntResult specHcRestoreImage(FlatState &s, const AbsImage &img);
  *    `dst_pre` (all-or-nothing), while the source still committed the
  *    same post-state both ways;
  *  - on success both hosts' states are equal pairwise across the two
- *    paths, refinement R holds of the twin's lifted tables, and the
- *    tree-level image of the page installs lands on the lift of the
- *    restored GPT.
+ *    paths, and the tree-level image of the page installs lands on
+ *    the lift of the restored GPT.
  */
 BatchEquivalence checkMigrateQuiescedFold(const FlatState &src_pre,
                                           const FlatState &dst_pre,

@@ -107,41 +107,9 @@ class HypercallScope
 };
 
 /**
- * Sealing MAC over everything the OS could usefully tamper with.  A
- * keyed FNV-1a stands in for AES-GCM: the model needs unforgeability
- * relative to the checkers (which never try to forge), not
- * cryptographic strength.
- */
-constexpr u64 sealKeyConst = 0x5ea1'ab1e'0ff1'ce42ull;
-
-u64
-sealMac(const SealedBlob &blob)
-{
-    u64 acc = sealKeyConst;
-    acc = measureStep(acc, u64(blob.owner));
-    acc = measureStep(acc, blob.gva.value);
-    acc = measureStep(acc, u64(blob.kind));
-    acc = measureStep(acc, blob.gpaSlot.value);
-    acc = measureStep(acc, blob.version);
-    for (const u64 word : blob.words)
-        acc = measureStep(acc, word);
-    return acc;
-}
-
-/** FNV digest over one page's words (image per-page digests). */
-u64
-pageWordsDigest(const u64 *words)
-{
-    u64 acc = 0xcbf29ce484222325ull;
-    for (u64 w = 0; w < pageSize / sizeof(u64); ++w)
-        acc = measureStep(acc, words[w]);
-    return acc;
-}
-
-/**
  * Stamp the accessed+dirty bits a hardware walker would leave behind
- * after a successful enclave write: the GPT terminal entry (what the
- * migration engine's dirty scan reads) and the EPT entry of the slot.
+ * after a successful enclave write: the GPT terminal entry (what
+ * Monitor::takeEnclaveDirty reads) and the EPT entry of the slot.
  */
 void
 stampEnclaveDirty(PhysMem &mem, Hpa gpt_root, Hpa ept_root, Gva va)
@@ -154,18 +122,37 @@ stampEnclaveDirty(PhysMem &mem, Hpa gpt_root, Hpa ept_root, Gva va)
     }
 }
 
+/**
+ * Sealing MAC over everything the OS could usefully tamper with.  A
+ * keyed FNV-1a stands in for AES-GCM: the model needs unforgeability
+ * relative to the checkers (which never try to forge), not
+ * cryptographic strength.
+ */
+constexpr u64 sealKeyConst = 0x5ea1'ab1e'0ff1'ce42ull;
+
 } // namespace
 
 u64
 sealedBlobMac(const SealedBlob &blob)
 {
-    return sealMac(blob);
+    u64 acc = sealKeyConst;
+    acc = measureStep(acc, u64(blob.owner));
+    acc = measureStep(acc, blob.gva.value);
+    acc = measureStep(acc, u64(blob.kind));
+    acc = measureStep(acc, blob.gpaSlot.value);
+    acc = measureStep(acc, blob.version);
+    for (const u64 word : blob.words)
+        acc = measureStep(acc, word);
+    return acc;
 }
 
 u64
 enclavePageDigest(const u64 *words)
 {
-    return pageWordsDigest(words);
+    u64 acc = 0xcbf29ce484222325ull;
+    for (u64 w = 0; w < pageSize / sizeof(u64); ++w)
+        acc = measureStep(acc, words[w]);
+    return acc;
 }
 
 u64
@@ -470,7 +457,7 @@ Monitor::sealPage(SealedBlob &blob, const ResidentPage &page,
     blob.version = version;
     std::memcpy(blob.words.data(), physMem.pageWords(page.epcPage),
                 pageSize);
-    blob.mac = sealMac(blob);
+    blob.mac = sealedBlobMac(blob);
 }
 
 Expected<Monitor::PlacedPage>
@@ -691,7 +678,9 @@ Monitor::hcEnclaveEnter(EnclaveId id, VCpu &vcpu)
     vcpu.domain = id;
     vcpu.gptRoot = enclave->gptRoot;
     vcpu.eptRoot = enclave->eptRoot;
-    tlbModel.flushDomain(id);
+    // No TLB flush: only a resident vCPU caches translations under the
+    // enclave's tag, and the exit that ended the last residency
+    // flushed them.
     ++statCounters.enters;
     statEnters.inc();
     return okStatus();
@@ -739,8 +728,9 @@ Monitor::hcEnclaveRemove(EnclaveId id)
     if (enclave->activeVcpus > 0)
         return scope.fail(HvError::BadEnclaveState);
 
+    // No TLB maintenance: with no vCPU resident the domain caches
+    // nothing, because every hc_enclave_exit already flushed it.
     teardownEnclave(*enclave);
-    tlbModel.flushDomain(id);
     return okStatus();
 }
 
@@ -868,7 +858,7 @@ Monitor::hcEnclaveReloadPage(EnclaveId id, const SealedBlob &blob,
     // Authenticity first: a tampered blob and a genuine blob presented
     // to the wrong enclave (cross-enclave replay) are rejected
     // identically, before any state is inspected.
-    if (blob.mac != sealMac(blob) || blob.owner != id)
+    if (blob.mac != sealedBlobMac(blob) || blob.owner != id)
         return scope.fail(HvError::SealAuthFailed);
     const auto rec = enclave->evictedPages.find(blob.gva.value);
     if (rec == enclave->evictedPages.end())
@@ -935,7 +925,7 @@ Monitor::hcEnclaveSnapshot(EnclaveId id, SnapshotMode mode)
         SealedBlob &blob = image.pages.emplace_back();
         sealPage(blob, *page, image.versionBase + i);
         image.pageMeta.push_back({blob.gva, blob.kind, blob.version,
-                                  pageWordsDigest(blob.words.data())});
+                                  enclavePageDigest(blob.words.data())});
     }
     enclave->nextSealVersion += resident.size();
     image.mac = enclaveImageMac(image);
@@ -969,12 +959,12 @@ Monitor::hcEnclaveRestoreImage(const EnclaveImage &image)
     for (u64 i = 0; i < image.pages.size(); ++i) {
         const SealedBlob &blob = image.pages[i];
         const ImagePageMeta &meta = image.pageMeta[i];
-        if (blob.mac != sealMac(blob) || blob.owner != image.sourceId)
+        if (blob.mac != sealedBlobMac(blob) || blob.owner != image.sourceId)
             return scope.fail(HvError::ImageAuthFailed);
         if (blob.gva != meta.gva || blob.kind != meta.kind ||
             blob.version != meta.version ||
             blob.version != image.versionBase + i ||
-            pageWordsDigest(blob.words.data()) != meta.digest)
+            enclavePageDigest(blob.words.data()) != meta.digest)
             return scope.fail(HvError::ImageAuthFailed);
     }
     // Anti-rollback: an image of this measurement may only move the
@@ -1045,41 +1035,47 @@ Monitor::hcEnclaveRestoreImage(const EnclaveImage &image)
 }
 
 Expected<std::vector<Gva>>
-Monitor::enclaveDirtyPages(EnclaveId id) const
+Monitor::takeEnclaveDirty(EnclaveId id)
 {
     const Enclave *enclave = findEnclave(id);
     if (!enclave)
         return HvError::NoSuchEnclave;
-    const PageTable gpt(const_cast<PhysMem &>(physMem), nullptr,
-                        enclave->gptRoot);
-    std::vector<Gva> dirty;
-    gpt.forEachMapping([&](u64 va, Pte entry, int level) {
-        if (level == 1 && entry.dirty() &&
-            enclave->cfg.elrange.contains(Gva(va)))
-            dirty.push_back(Gva(va));
-    });
-    return dirty;
-}
+    // One walk reads and clears: `reach` names the leaf table whose
+    // entries the walk visits next, so each dirty entry is rewritten
+    // in place without a second descent.
+    struct : TableVisitor
+    {
+        PhysMem &mem;
+        const GvaRange &elrange;
+        std::vector<Gva> dirty;
+        u64 leafTable = 0;
 
-Status
-Monitor::clearEnclaveDirty(EnclaveId id)
-{
-    Enclave *enclave = findEnclaveMutable(id);
-    if (!enclave)
-        return HvError::NoSuchEnclave;
-    PageTable gpt(physMem, &frameAlloc, enclave->gptRoot);
-    std::vector<u64> dirty;
-    gpt.forEachMapping([&](u64 va, Pte entry, int level) {
-        if (level == 1 && entry.dirty())
-            dirty.push_back(va);
-    });
-    for (const u64 va : dirty)
-        (void)gpt.clearDirtyBit(va);
+        void
+        reach(u64 table, int level)
+        {
+            if (level == 1)
+                leafTable = table;
+        }
+
+        void
+        entry(u64 va, u64 raw, int level, bool)
+        {
+            const Pte pte(raw);
+            if (level != 1 || !pte.dirty())
+                return;
+            mem.write(Hpa(leafTable + Gva(va).tableIndex(1) * sizeof(u64)),
+                      pte.withDirtyCleared().raw());
+            if (elrange.contains(Gva(va)))
+                dirty.push_back(Gva(va));
+        }
+    } take{{}, physMem, enclave->cfg.elrange, {}};
+    walkTables(PhysTablePages{physMem}, enclave->gptRoot.value,
+               pagingLevels, take);
     // Cached write-permitted translations let later stores skip the
     // walk that re-stamps the bit; the flush forces the next write
     // back through the walker.
     tlbModel.flushDomain(id);
-    return okStatus();
+    return std::move(take.dirty);
 }
 
 Status

@@ -429,17 +429,15 @@ class Monitor
     /// @{
 
     /**
-     * Enclave pages whose GPT terminal entry carries the dirty bit,
-     * in ascending gva order.  Write-fault-driven: the walker stamps
-     * the bit on write translations (see PageTable::stampAccessedDirty).
+     * Take the enclave's dirty log in one GPT walk: return the ELRANGE
+     * pages whose level-1 entry carries the dirty bit, in ascending
+     * gva order, and clear the bit on every dirty level-1 entry the
+     * walk passes (the marshalling buffer's included).  Then flush the
+     * TLB domain so the next write re-walks and re-stamps.  The walker
+     * stamps the bit on write translations (see
+     * PageTable::stampAccessedDirty).
      */
-    Expected<std::vector<Gva>> enclaveDirtyPages(EnclaveId id) const;
-
-    /**
-     * Clear the dirty bits of every enclave page and flush the TLB
-     * domain so the next write re-walks (and re-stamps).
-     */
-    Status clearEnclaveDirty(EnclaveId id);
+    Expected<std::vector<Gva>> takeEnclaveDirty(EnclaveId id);
 
     /**
      * Store into a resident enclave page through the dirty-stamping

@@ -1,7 +1,5 @@
 #include "hv/page_table.hh"
 
-#include <functional>
-
 #include "obs/stats.hh"
 #include "obs/trace.hh"
 #include "support/logging.hh"
@@ -248,51 +246,26 @@ PageTable::translate(u64 va, bool is_write, bool is_user) const
     panic("unreachable: page walk fell off the root");
 }
 
-namespace
-{
-
-/**
- * Walk to the terminal entry covering va and rewrite it through
- * `edit`; shared by the A/D stamping and clearing paths.  Works at
- * any terminal level (4K or huge).
- */
 Status
-editTerminalEntry(PageTable &pt, u64 va,
-                  const std::function<Pte(Pte)> &edit)
+PageTable::stampAccessedDirty(u64 va, bool is_write)
 {
-    Hpa table = pt.root();
+    Hpa table = rootFrame;
     for (int level = pagingLevels; level >= 1; --level) {
         const u64 index = Gva(va).tableIndex(level);
-        const Pte entry = pt.entryAt(table, index);
+        const Pte entry = entryAt(table, index);
         if (!entry.present())
             return HvError::NotMapped;
         if (level == 1 || entry.huge()) {
-            const Pte edited = edit(entry);
-            if (edited != entry)
-                pt.setEntryAt(table, index, edited);
+            Pte stamped = entry.withAccessed();
+            if (is_write)
+                stamped = stamped.withDirty();
+            if (stamped != entry)
+                setEntryAt(table, index, stamped);
             return okStatus();
         }
         table = Hpa(entry.addr());
     }
-    panic("unreachable: terminal-entry edit fell off the root");
-}
-
-} // namespace
-
-Status
-PageTable::stampAccessedDirty(u64 va, bool is_write)
-{
-    return editTerminalEntry(*this, va, [is_write](Pte entry) {
-        entry = entry.withAccessed();
-        return is_write ? entry.withDirty() : entry;
-    });
-}
-
-Status
-PageTable::clearDirtyBit(u64 va)
-{
-    return editTerminalEntry(
-        *this, va, [](Pte entry) { return entry.withDirtyCleared(); });
+    panic("unreachable: A/D stamp fell off the root");
 }
 
 Status

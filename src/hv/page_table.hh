@@ -169,14 +169,6 @@ class PageTable
     Status stampAccessedDirty(u64 va, bool is_write);
 
     /**
-     * Clear the dirty bit of the terminal entry covering va.  Callers
-     * owning a TLB must flush it (or run a shootdown under SMP):
-     * cached write-permitted translations would otherwise let later
-     * stores skip the walk that re-stamps the bit.
-     */
-    Status clearDirtyBit(u64 va);
-
-    /**
      * Free all intermediate table frames (from the leaf level up),
      * leaving terminal pages untouched.  Requires an allocator.
      */

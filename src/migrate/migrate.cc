@@ -43,8 +43,9 @@ transferPage(const hv::Monitor &mon, EnclaveId id, Gva gva,
  * Seal the quiesced source and rebuild the image payloads from the
  * staged copies: every page's words come from the wire staging, so a
  * stale staged page (the planted skip-dirty bug) ships stale contents
- * under freshly recomputed, *valid* MACs — only a content oracle on
- * the restored twin can catch it.
+ * under recomputed, *valid* MACs — only a content oracle on the
+ * restored twin can catch it.  A staged page equal to the sealed one
+ * keeps the MAC and digest the snapshot computed.
  */
 Expected<hv::EnclaveImage>
 sealFromStaging(hv::Monitor &mon, EnclaveId id, hv::SnapshotMode mode,
@@ -53,28 +54,75 @@ sealFromStaging(hv::Monitor &mon, EnclaveId id, hv::SnapshotMode mode,
     auto image = mon.hcEnclaveSnapshot(id, mode);
     if (!image)
         return image.error();
+    bool restaged = false;
     for (u64 i = 0; i < image->pages.size(); ++i) {
         hv::SealedBlob &blob = image->pages[i];
         const auto it = staged.find(blob.gva.value);
-        if (it == staged.end())
-            continue; // never staged: keep the authoritative words
-        if (blob.words != it->second) {
-            blob.words = it->second;
-            blob.mac = hv::sealedBlobMac(blob);
-        }
+        if (it == staged.end() || blob.words == it->second)
+            continue; // never staged, or staged as sealed
+        blob.words = it->second;
+        blob.mac = hv::sealedBlobMac(blob);
         image->pageMeta[i].digest =
             hv::enclavePageDigest(blob.words.data());
+        restaged = true;
     }
-    image->mac = hv::enclaveImageMac(*image);
+    if (restaged)
+        image->mac = hv::enclaveImageMac(*image);
     return image;
 }
 
-void
-recordRound(u16 tag, EnclaveId id, u64 round, u64 pages, u64 ns)
+/** One migration of enclave `id` off a source monitor. */
+struct Transfer
 {
-    obs::flightRecord(flightOpMigrateRound, round, pages, ns, u64(id),
-                      0, u16(round), tag);
-}
+    hv::Monitor &mon;
+    EnclaveId id;
+    u16 tag = obs::newFlightRunTag();
+    Staging staged{};
+    MigrateResult res{};
+
+    /**
+     * Stage `pages` over the wire as round `round`: time the
+     * transfers, then account the round in `res` and the flight
+     * recorder.
+     */
+    Status
+    copy(const std::vector<Gva> &pages, u64 round)
+    {
+        const auto t0 = Clock::now();
+        for (const Gva gva : pages)
+            if (auto st = transferPage(mon, id, gva, staged); !st)
+                return st;
+        const u64 ns = nsSince(t0);
+        res.roundPages.push_back(pages.size());
+        res.roundNs.push_back(ns);
+        res.totalPagesCopied += pages.size();
+        obs::flightRecord(flightOpMigrateRound, round, pages.size(), ns,
+                          u64(id), 0, u16(round), tag);
+        return okStatus();
+    }
+
+    /**
+     * Switchover: seal, rebuild from staging, restore on the twin.
+     * The round copied last ran with the source stopped, so it is the
+     * downtime window.
+     */
+    Expected<MigrateResult>
+    switchover(hv::Machine &dst, hv::SnapshotMode mode)
+    {
+        res.downtimePages = res.roundPages.back();
+        res.downtimeNs = res.roundNs.back();
+        const auto s0 = Clock::now();
+        auto image = sealFromStaging(mon, id, mode, staged);
+        if (!image)
+            return image.error();
+        auto dst_id = dst.monitor().hcEnclaveRestoreImage(*image);
+        if (!dst_id)
+            return dst_id.error();
+        res.switchoverNs = nsSince(s0);
+        res.dstId = *dst_id;
+        return std::move(res);
+    }
+};
 
 } // namespace
 
@@ -82,92 +130,47 @@ Expected<MigrateResult>
 migrateLive(hv::Machine &src, EnclaveId id, hv::Machine &dst,
             const Workload &between_rounds, const MigrateOptions &opts)
 {
-    hv::Monitor &mon = src.monitor();
-    const u16 tag = obs::newFlightRunTag();
-    MigrateResult res;
-    Staging staged;
+    Transfer xfer{src.monitor(), id};
+    hv::Monitor &mon = xfer.mon;
 
-    // Round 0: clear the tracking bits, then copy every resident page
-    // while the source keeps running.  Clearing first means any write
-    // landing after this point is re-copied by a later round.
+    // Round 0: take (and so clear) the dirty log, then copy every
+    // resident page while the source keeps running.  Taking first
+    // means any write landing after this point is re-copied by a
+    // later round.
     auto resident = mon.enclaveResidentPages(id);
     if (!resident)
         return resident.error();
-    if (auto st = mon.clearEnclaveDirty(id); !st)
+    if (auto taken = mon.takeEnclaveDirty(id); !taken)
+        return taken.error();
+    if (auto st = xfer.copy(*resident, 0); !st)
         return st.error();
-    {
-        const auto t0 = Clock::now();
-        for (const Gva gva : *resident)
-            if (auto st = transferPage(mon, id, gva, staged); !st)
-                return st.error();
-        const u64 ns = nsSince(t0);
-        res.roundPages.push_back(resident->size());
-        res.roundNs.push_back(ns);
-        res.totalPagesCopied += resident->size();
-        recordRound(tag, id, 0, resident->size(), ns);
-    }
 
-    // Iterative pre-copy: let the source run, re-copy what it wrote.
-    // The loop exits into stop-and-copy when the dirty set is small
-    // enough or the round budget is spent.
-    u64 workSteps = 0;
-    for (u64 round = 1; round <= opts.maxPrecopyRounds; ++round) {
-        between_rounds(workSteps++);
-        auto dirty = mon.enclaveDirtyPages(id);
-        if (!dirty)
-            return dirty.error();
-        if (dirty->size() <= opts.dirtyThreshold ||
-            round == opts.maxPrecopyRounds)
+    // Iterative pre-copy: each round lets the source run, then takes
+    // its dirty set once.  The round whose set is small enough, or the
+    // last one, hands that set to stop-and-copy uncopied.
+    std::vector<Gva> dirty;
+    for (u64 round = 1;; ++round) {
+        if (round <= opts.maxPrecopyRounds)
+            between_rounds(xfer.res.workloadSteps++);
+        auto taken = mon.takeEnclaveDirty(id);
+        if (!taken)
+            return taken.error();
+        dirty = std::move(*taken);
+        if (round >= opts.maxPrecopyRounds ||
+            dirty.size() <= opts.dirtyThreshold)
             break;
-        if (auto st = mon.clearEnclaveDirty(id); !st)
+        if (auto st = xfer.copy(dirty, round); !st)
             return st.error();
-        const auto t0 = Clock::now();
-        for (const Gva gva : *dirty)
-            if (auto st = transferPage(mon, id, gva, staged); !st)
-                return st.error();
-        const u64 ns = nsSince(t0);
-        res.roundPages.push_back(dirty->size());
-        res.roundNs.push_back(ns);
-        res.totalPagesCopied += dirty->size();
-        ++res.precopyRounds;
-        recordRound(tag, id, round, dirty->size(), ns);
+        ++xfer.res.precopyRounds;
     }
-
-    res.workloadSteps = workSteps;
 
     // Stop-and-copy: the source is paused from here on.  Only the
     // residual dirty set crosses the wire inside the downtime window.
-    auto final_dirty = mon.enclaveDirtyPages(id);
-    if (!final_dirty)
-        return final_dirty.error();
-    const bool skip_final = mon.config().planted.skipDirtyOnFinalRound;
-    {
-        const auto t0 = Clock::now();
-        if (!skip_final) {
-            for (const Gva gva : *final_dirty)
-                if (auto st = transferPage(mon, id, gva, staged); !st)
-                    return st.error();
-            res.downtimePages = final_dirty->size();
-            res.totalPagesCopied += final_dirty->size();
-        }
-        res.downtimeNs = nsSince(t0);
-        res.roundPages.push_back(res.downtimePages);
-        res.roundNs.push_back(res.downtimeNs);
-        recordRound(tag, id, res.precopyRounds + 1, res.downtimePages,
-                    res.downtimeNs);
-    }
-
-    // Switchover: seal, rebuild from staging, restore on the twin.
-    const auto s0 = Clock::now();
-    auto image = sealFromStaging(mon, id, opts.mode, staged);
-    if (!image)
-        return image.error();
-    auto dst_id = dst.monitor().hcEnclaveRestoreImage(*image);
-    if (!dst_id)
-        return dst_id.error();
-    res.switchoverNs = nsSince(s0);
-    res.dstId = *dst_id;
-    return res;
+    if (mon.config().planted.skipDirtyOnFinalRound)
+        dirty.clear();
+    if (auto st = xfer.copy(dirty, xfer.res.precopyRounds + 1); !st)
+        return st.error();
+    return xfer.switchover(dst, opts.mode);
 }
 
 Expected<MigrateResult>
@@ -175,44 +178,21 @@ migrateStopAndCopy(hv::Machine &src, EnclaveId id, hv::Machine &dst,
                    const Workload &workload, u64 rounds,
                    const MigrateOptions &opts)
 {
-    hv::Monitor &mon = src.monitor();
-    const u16 tag = obs::newFlightRunTag();
-    MigrateResult res;
-    Staging staged;
+    Transfer xfer{src.monitor(), id};
 
     // The whole workload runs first: same final source state as the
     // live path, but nothing has been transferred yet.
     for (u64 i = 0; i < rounds; ++i)
         workload(i);
-    res.workloadSteps = rounds;
+    xfer.res.workloadSteps = rounds;
 
     // Stop the source and transfer everything inside the window.
-    auto resident = mon.enclaveResidentPages(id);
+    auto resident = xfer.mon.enclaveResidentPages(id);
     if (!resident)
         return resident.error();
-    {
-        const auto t0 = Clock::now();
-        for (const Gva gva : *resident)
-            if (auto st = transferPage(mon, id, gva, staged); !st)
-                return st.error();
-        res.downtimeNs = nsSince(t0);
-    }
-    res.downtimePages = resident->size();
-    res.totalPagesCopied = resident->size();
-    res.roundPages.push_back(resident->size());
-    res.roundNs.push_back(res.downtimeNs);
-    recordRound(tag, id, 0, res.downtimePages, res.downtimeNs);
-
-    const auto s0 = Clock::now();
-    auto image = sealFromStaging(mon, id, opts.mode, staged);
-    if (!image)
-        return image.error();
-    auto dst_id = dst.monitor().hcEnclaveRestoreImage(*image);
-    if (!dst_id)
-        return dst_id.error();
-    res.switchoverNs = nsSince(s0);
-    res.dstId = *dst_id;
-    return res;
+    if (auto st = xfer.copy(*resident, 0); !st)
+        return st.error();
+    return xfer.switchover(dst, opts.mode);
 }
 
 } // namespace hev::migrate

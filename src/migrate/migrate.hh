@@ -5,13 +5,15 @@
  * The engine moves an Initialized enclave from a source hv::Machine to
  * a twin host with iterative pre-copy: while the source keeps running
  * (modeled by a caller-supplied workload invoked between rounds), page
- * contents are staged across the "wire"; the dirty-bit tracking in the
- * GPT/EPT walkers tells each round which pages were written since the
- * last copy.  When the dirty set stops shrinking (or the round bound
- * hits), the source is paused: the final dirty pages are re-staged,
- * the enclave is sealed into an EnclaveImage via hcEnclaveSnapshot,
- * the image's page payloads are rebuilt from the staged copies (MACs
- * and digests recomputed), and the twin host restores it.
+ * contents are staged across the "wire".  Each round takes the
+ * enclave's dirty log once (Monitor::takeEnclaveDirty: the pages
+ * written since the last take, cleared by the same GPT walk).  The
+ * round whose set is at most `dirtyThreshold` pages, or round
+ * `maxPrecopyRounds`, hands its set to stop-and-copy: the source is
+ * paused, those pages are re-staged, the enclave is sealed into an
+ * EnclaveImage via hcEnclaveSnapshot, the image's page payloads are
+ * rebuilt from the staged copies (MAC and digest recomputed for each
+ * page that differs), and the twin host restores it.
  *
  * Downtime accounting: `downtimeNs`/`downtimePages` cover the wire
  * transfers performed while the source is stopped — the quantity

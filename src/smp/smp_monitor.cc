@@ -852,10 +852,10 @@ SmpMonitor::translate(VcpuId v, Gva va, bool is_write)
         return hpa.error();
     // Unlike Monitor::translate, an enclave write walk stamps no
     // accessed/dirty bits here, so stores through memStore never reach
-    // enclaveDirtyPages and live pre-copy would miss them.  Every
-    // migrateLive source is a single-vCPU hv::Machine today; stamping
-    // from several vCPUs first needs atomic PTE A/D updates, since a
-    // stamp racing evict's unmap would be a lost update.
+    // Monitor::takeEnclaveDirty and live pre-copy would miss them.
+    // Every migrateLive source is a single-vCPU hv::Machine today;
+    // stamping from several vCPUs first needs atomic PTE A/D updates,
+    // since a stamp racing evict's unmap would be a lost update.
     cpu.tlb.insert(cpu.arch.domain, va.value,
                    {hpa->pageBase().value, is_write});
     return *hpa;

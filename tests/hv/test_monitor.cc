@@ -259,8 +259,7 @@ expectNoSuchEnclave(Monitor &mon, EnclaveId id)
     EXPECT_EQ(mon.hcEnclaveReloadPage(id, blob).error(), gone);
     EXPECT_EQ(mon.hcEnclaveSnapshot(id, SnapshotMode::Fork).error(), gone);
     EXPECT_EQ(mon.hcEnclaveSnapshot(id, SnapshotMode::Move).error(), gone);
-    EXPECT_EQ(mon.enclaveDirtyPages(id).error(), gone);
-    EXPECT_EQ(mon.clearEnclaveDirty(id).error(), gone);
+    EXPECT_EQ(mon.takeEnclaveDirty(id).error(), gone);
     EXPECT_EQ(mon.enclaveStore(id, page, 1).error(), gone);
     EXPECT_EQ(mon.enclaveLoad(id, page).error(), gone);
     EXPECT_EQ(mon.enclaveResidentPages(id).error(), gone);

@@ -59,13 +59,36 @@ TEST(TlbCoherenceTest, EnclaveRemoveFlushesItsDomain)
     // Exit flushes the enclave's tag...
     EXPECT_FALSE(mon.tlb().lookup(enclave->id, 0x10'0000).has_value());
 
-    // ...and removal flushes whatever could remain.
+    // ...so nothing of it survives into removal.
     ASSERT_TRUE(mon.hcEnclaveEnter(enclave->id, machine.vcpu()).ok());
     ASSERT_TRUE(machine.memLoad(Gva(0x10'0000)).ok());
     ASSERT_TRUE(mon.hcEnclaveExit(machine.vcpu()).ok());
     ASSERT_TRUE(mon.hcEnclaveRemove(enclave->id).ok());
     EXPECT_FALSE(mon.tlb().lookup(enclave->id, 0x10'0000).has_value())
         << "a removed enclave's translations are still cached";
+}
+
+TEST(TlbCoherenceTest, ExitLeavesNothingForEnterOrRemoveToFlush)
+{
+    // Only a resident vCPU caches translations under an enclave's tag,
+    // and exit flushes them: enter and remove would find the domain
+    // empty, which is why neither flushes it.
+    Machine machine(smallConfig());
+    auto enclave = machine.setupEnclave(0x10'0000, 2, 1, 2);
+    ASSERT_TRUE(enclave.ok());
+    Monitor &mon = machine.monitor();
+    EXPECT_EQ(mon.tlb().countDomain(enclave->id), 0u);
+
+    for (int residency = 0; residency < 2; ++residency) {
+        ASSERT_TRUE(mon.hcEnclaveEnter(enclave->id, machine.vcpu()).ok());
+        ASSERT_TRUE(machine.memLoad(Gva(0x10'0000)).ok());
+        ASSERT_TRUE(machine.memStore(Gva(0x10'1000), 9).ok());
+        EXPECT_EQ(mon.tlb().countDomain(enclave->id), 2u);
+        ASSERT_TRUE(mon.hcEnclaveExit(machine.vcpu()).ok());
+        EXPECT_EQ(mon.tlb().countDomain(enclave->id), 0u);
+    }
+    ASSERT_TRUE(mon.hcEnclaveRemove(enclave->id).ok());
+    EXPECT_EQ(mon.tlb().countDomain(enclave->id), 0u);
 }
 
 TEST(TlbCoherenceTest, ReusedEpcPageNotReachableViaStaleEntry)

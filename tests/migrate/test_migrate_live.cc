@@ -167,6 +167,41 @@ TEST(MigrateLive, RoundsLandInTheFlightRecorder)
         << "every migration round should leave one flight span";
 }
 
+TEST(MigrateLive, NoPrecopyRoundsTakesAnEmptyFinalSet)
+{
+    // With no pre-copy round the workload never runs, so the final
+    // take finds nothing written since round 0's take: the stopped
+    // window copies no page, and round 0's copy alone is the twin.
+    hv::Machine src(smallConfig()), dst(smallConfig());
+    auto enclave = src.setupEnclave(elStart, 6, 1, 0x555e);
+    ASSERT_TRUE(enclave);
+    // Pages dirtied before the migration are round 0's to copy.
+    ASSERT_TRUE(src.monitor()
+                    .enclaveStore(enclave->id, Gva(elStart + pageSize), 7)
+                    .ok());
+
+    MigrateOptions opts;
+    opts.mode = hv::SnapshotMode::Fork;
+    opts.maxPrecopyRounds = 0;
+    u64 calls = 0;
+    auto result = migrateLive(src, enclave->id, dst,
+                              [&](u64) { ++calls; }, opts);
+    ASSERT_TRUE(result) << hvErrorName(result.error());
+    EXPECT_EQ(calls, 0u);
+    EXPECT_EQ(result->precopyRounds, 0u);
+    EXPECT_EQ(result->downtimePages, 0u);
+    EXPECT_EQ(result->roundPages, (std::vector<u64>{7, 0}));
+    EXPECT_EQ(result->totalPagesCopied, 7u);
+
+    auto resident = src.monitor().enclaveResidentPages(enclave->id);
+    ASSERT_TRUE(resident);
+    ASSERT_EQ(resident->size(), 7u);
+    for (const Gva gva : *resident)
+        EXPECT_EQ(readPage(src.monitor(), enclave->id, gva.value),
+                  readPage(dst.monitor(), result->dstId, gva.value))
+            << "twin diverges at gva " << std::hex << gva.value;
+}
+
 TEST(MigrateLive, PlantedFinalRoundSkipShipsStalePagesUnderValidMacs)
 {
     hv::MonitorConfig cfg = smallConfig();
